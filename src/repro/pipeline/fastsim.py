@@ -52,13 +52,14 @@ from ..models.architectures import ModelSpec
 from ..models import layers as L
 from ..obs import trace
 from ..plan import ExecutionPlan
-from ..simgpu import roofline
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .stage import (
     MemoizedTiming,
     RooflineTiming,
     StageExecutionModel,
     TimingSource,
+    stage_decode_series,
+    stage_prefill_time,
 )
 
 __all__ = [
@@ -285,84 +286,6 @@ def _build_stage_context(
     return stage_models, fwd_links, feedback_link
 
 
-def _layer_sum(per_layer: np.ndarray) -> np.ndarray:
-    """Sequential left-to-right sum over the trailing (layer) axis.
-
-    ``np.cumsum`` accumulates strictly in order (no pairwise reduction),
-    so taking the last partial sum reproduces the scalar
-    ``total = 0.0; total += layer`` chain bit-for-bit (``0.0 + x == x``).
-    """
-    return np.cumsum(per_layer, axis=-1)[..., -1]
-
-
-def _prefill_chunk_shared(
-    sm: StageExecutionModel, size: int, chunk: int
-) -> float:
-    """Bit-exact replica of ``StageExecutionModel.prefill_chunk_time``.
-
-    Looks up each *distinct* layer bitwidth once instead of once per
-    layer — the timing source is memoized on exactly those arguments —
-    then accumulates in layer order.
-    """
-    bits_seq = sm.stage.layer_bits
-    tp = sm.stage.tp_degree
-    per_bits = {
-        b: sm.timing.prefill(sm.gpu, b, size, chunk, tp)
-        for b in set(bits_seq)
-    }
-    total = float(
-        _layer_sum(
-            np.asarray([per_bits[b] for b in bits_seq], dtype=np.float64)
-        )
-    )
-    if sm.is_first:
-        total += roofline.embedding_time(sm.gpu, sm.spec, size * chunk)
-    if sm.is_last:
-        total += roofline.lm_head_time(sm.gpu, sm.spec, size)
-    return total
-
-
-def _decode_series_shared(
-    sm: StageExecutionModel,
-    size: int,
-    prompt_len: int,
-    n_out: int,
-    samples: int = 9,
-) -> List[float]:
-    """Bit-exact replica of ``StageExecutionModel.decode_time_series``.
-
-    Same probe contexts, same interpolation — but each distinct layer
-    bitwidth costs one memoized timing lookup per probe instead of one
-    per layer, and the per-step layer sum runs as one sequential cumsum.
-    """
-    steps = np.arange(1, max(n_out, 2))
-    contexts = prompt_len + steps
-    direct = len(contexts) <= samples
-    if direct:
-        probe = contexts
-    else:
-        probe = np.unique(
-            np.linspace(contexts[0], contexts[-1], samples).astype(int)
-        )
-    bits_seq = sm.stage.layer_bits
-    tp = sm.stage.tp_degree
-    per_bits = {
-        b: [sm.timing.decode(sm.gpu, b, size, int(c), tp) for c in probe]
-        for b in set(bits_seq)
-    }
-    vals = np.empty((len(probe), len(bits_seq)), dtype=np.float64)
-    for j, b in enumerate(bits_seq):
-        vals[:, j] = per_bits[b]
-    times = _layer_sum(vals)
-    if sm.is_first:
-        times = times + roofline.embedding_time(sm.gpu, sm.spec, size)
-    if sm.is_last:
-        times = times + roofline.lm_head_time(sm.gpu, sm.spec, size)
-    if direct:
-        return times.tolist()
-    return np.interp(contexts, probe, times).tolist()
-
-
 def _stage_key(sm: StageExecutionModel) -> Tuple[Any, ...]:
     """What a stage's timing actually depends on.
 
@@ -387,7 +310,7 @@ def _prefill_chunk_time(
     hit = _COMPONENT_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    val = _prefill_chunk_shared(sm, size, chunk)
+    val = stage_prefill_time(sm, size, chunk)
     _bounded_put(
         _COMPONENT_CACHE, _COMPONENT_CACHE_MAX, key, (sm.timing, val)
     )
@@ -408,7 +331,7 @@ def _decode_series(
     hit = _COMPONENT_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    val = _decode_series_shared(sm, size, prompt_len, n_out)
+    val = stage_decode_series(sm, size, prompt_len, n_out)
     _bounded_put(
         _COMPONENT_CACHE, _COMPONENT_CACHE_MAX, key, (sm.timing, val)
     )

@@ -44,6 +44,7 @@ full online grid (overload, shedding, ragged tails) is enforced by
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -114,10 +115,21 @@ class OnlineConfig:
             raise ValueError("max_group_size must be positive")
         if self.max_queue is not None and self.max_queue <= 0:
             raise ValueError("max_queue must be positive")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ValueError("ttft_slo_s must be positive")
-        if self.horizon_s is not None and self.horizon_s < 0:
-            raise ValueError("horizon_s must be non-negative")
+        # NaN passes ``x <= 0``, so test finiteness explicitly.
+        if self.ttft_slo_s is not None and not (
+            math.isfinite(self.ttft_slo_s) and self.ttft_slo_s > 0
+        ):
+            raise ValueError(
+                f"ttft_slo_s must be finite and positive, "
+                f"got {self.ttft_slo_s!r}"
+            )
+        if self.horizon_s is not None and not (
+            math.isfinite(self.horizon_s) and self.horizon_s >= 0
+        ):
+            raise ValueError(
+                f"horizon_s must be finite and non-negative, "
+                f"got {self.horizon_s!r}"
+            )
 
 
 def _percentile(values: Tuple[float, ...], q: float) -> float:
@@ -274,9 +286,14 @@ class OnlineTables:
     prompt, max output), and the last-to-first feedback delay — is a
     pure function of the topology, so one bundle per
     ``(plan, cluster, spec, timing)`` serves every run, every refill
-    point, and both backends.  The event driver previously rebuilt these
-    dicts per run; sharing the bundle makes repeat traces (benchmarks,
-    fleets, differential tests) pay each lookup once.
+    point, and both backends; repeat traces (benchmarks, fleets,
+    differential tests) pay each lookup once.
+
+    A miss fills through the topology, which times stages with the
+    per-distinct-bitwidth kernel over its own
+    :class:`~repro.pipeline.stage.MemoizedTiming`: one timing-source
+    call per distinct ``(phase, gpu, bits, batch, seq, tp)`` per bundle.
+    Dropping the bundle (:func:`clear_online_caches`) drops that memo.
     """
 
     __slots__ = (

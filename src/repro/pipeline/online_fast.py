@@ -104,7 +104,8 @@ class _Chain:
     """One decode slice's in-flight state (per (group, micro-batch))."""
 
     __slots__ = (
-        "g", "sl", "lens", "n", "retire", "t", "rows", "comms", "row_size",
+        "g", "sl", "lens", "n", "retire", "t", "rows", "comms", "fb",
+        "row_size",
     )
 
     def __init__(self, g: _Group, sl: List[Request]):
@@ -114,8 +115,12 @@ class _Chain:
         self.n = len(sl)
         self.retire = set(self.lens)
         self.t = 0
+        # Durations for the current active size ``row_size``, refreshed
+        # only when retirement shrinks it; the feedback delay is filled
+        # on the first round that needs it (round 1 starts at the barrier).
         self.rows: List[List[float]] = []
         self.comms: List[float] = []
+        self.fb: Optional[float] = None
         self.row_size = -1
 
 
@@ -203,18 +208,22 @@ def _fast_simulate_online(
 
     state.launch = launch_group
 
-    def cascade_round(ch: _Chain, t: int, size: int, ready: float) -> float:
-        """Commit one decode round through every stage; returns its
-        last-stage finish (the engine's round-completion event time)."""
+    def load_rows(ch: _Chain, size: int) -> None:
+        """Point the chain's duration rows at active size ``size``."""
+        g = ch.g
+        ch.rows = [
+            dec_series(j, size, g.pad, g.max_output)
+            for j in range(n_stages)
+        ]
+        ch.comms = [dec_comm(j, size) for j in range(n_stages - 1)]
+        ch.fb = None
+        ch.row_size = size
+
+    def cascade_round(ch: _Chain, t: int, ready: float) -> float:
+        """Commit one decode round of the chain's loaded size through
+        every stage; returns its last-stage finish (the engine's
+        round-completion event time)."""
         nonlocal jobs
-        if size != ch.row_size:
-            g = ch.g
-            ch.rows = [
-                dec_series(j, size, g.pad, g.max_output)
-                for j in range(n_stages)
-            ]
-            ch.comms = [dec_comm(j, size) for j in range(n_stages - 1)]
-            ch.row_size = size
         rows = ch.rows
         comms = ch.comms
         ti = t - 1
@@ -254,7 +263,8 @@ def _fast_simulate_online(
                 # slice; rounds 2+ belong to each chain's own events.
                 ch = _Chain(g, sl)
                 ch.t = 1
-                fin = cascade_round(ch, 1, size, end)
+                load_rows(ch, size)
+                fin = cascade_round(ch, 1, end)
                 heappush(heap, (fin, 1, seq, _ROUND, ch))
                 seq += 1
         for r in singles:
@@ -279,7 +289,12 @@ def _fast_simulate_online(
             # completed requests and refill.
             nxt = n - bisect_right(lens, t + 1)
             if nxt > 0:
-                nfin = cascade_round(ch, t + 1, nxt, fin + feedback(nxt))
+                if nxt != ch.row_size:
+                    load_rows(ch, nxt)
+                fb = ch.fb
+                if fb is None:
+                    fb = ch.fb = feedback(nxt)
+                nfin = cascade_round(ch, t + 1, fin + fb)
             if t + 1 in retire:
                 for r in sl:
                     if r.output_len == t + 1:

@@ -4,12 +4,22 @@ The simulator asks each stage two questions: how long one prefill chunk of
 a micro-batch takes, and how long one decode step takes at a given context
 length.  Both are sums over the stage's layers at their assigned
 bitwidths, plus embedding / LM-head work on the first / last stage.
+
+Two implementations answer them with the same bits:
+
+* :func:`stage_prefill_time` / :func:`stage_decode_series` — the kernel
+  every simulator uses.  It looks up each *distinct* layer bitwidth once
+  per shape and sums the layers in order with a sequential ``np.cumsum``.
+* :class:`StageExecutionModel`'s methods — the per-layer oracle, one
+  timing call per layer, kept as the reference the kernel is pinned to
+  (``tests/test_stage_kernel.py``) and as the per-plan baseline of the
+  batched evaluator's benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import List, Protocol
 
 import numpy as np
 
@@ -207,3 +217,96 @@ class StageExecutionModel:
             [self.decode_step_time(microbatch, int(c)) for c in probe]
         )
         return np.interp(contexts, probe, times)
+
+
+# ---------------------------------------------------------------------------
+# The stage-timing kernel: one lookup per distinct bitwidth per shape.
+# ---------------------------------------------------------------------------
+
+
+def _per_layer(bits_seq, lookup) -> np.ndarray:
+    """``lookup(bits)`` for every layer, stacked along a leading axis.
+
+    ``lookup`` runs once per *distinct* bitwidth; layers then index
+    into those rows, so the result holds the very floats a per-layer
+    call would return, in layer order.
+    """
+    pos: dict = {}
+    idx = [pos.setdefault(b, len(pos)) for b in bits_seq]
+    return np.asarray([lookup(b) for b in pos], dtype=np.float64)[idx]
+
+
+def _layer_sum(per_layer: np.ndarray) -> np.ndarray:
+    """Sequential sum over the leading (layer) axis.
+
+    ``np.cumsum`` accumulates strictly in order (no pairwise reduction),
+    so taking the last partial sum reproduces the scalar
+    ``total = 0.0; total += layer`` chain bit-for-bit (``0.0 + x == x``).
+    """
+    return np.cumsum(per_layer, axis=0)[-1]
+
+
+def stage_prefill_time(
+    sm: StageExecutionModel, size: int, chunk_len: int
+) -> float:
+    """Bit-exact :meth:`StageExecutionModel.prefill_chunk_time`.
+
+    Looks up each *distinct* layer bitwidth once instead of once per
+    layer, then accumulates in layer order.
+    """
+    tp = sm.stage.tp_degree
+    total = float(
+        _layer_sum(
+            _per_layer(
+                sm.stage.layer_bits,
+                lambda b: sm.timing.prefill(sm.gpu, b, size, chunk_len, tp),
+            )
+        )
+    )
+    if sm.is_first:
+        total += roofline.embedding_time(sm.gpu, sm.spec, size * chunk_len)
+    if sm.is_last:
+        total += roofline.lm_head_time(sm.gpu, sm.spec, size)
+    return total
+
+
+def stage_decode_series(
+    sm: StageExecutionModel,
+    size: int,
+    prompt_len: int,
+    n_tokens: int,
+    samples: int = 9,
+) -> List[float]:
+    """Bit-exact :meth:`StageExecutionModel.decode_time_series` (as floats).
+
+    Same probe contexts, same interpolation — but each distinct layer
+    bitwidth costs one timing lookup per probe instead of one per layer,
+    and the per-probe layer sum runs as one sequential cumsum.
+    """
+    steps = np.arange(1, max(n_tokens, 2))
+    contexts = prompt_len + steps
+    direct = len(contexts) <= samples
+    if direct:
+        probe = contexts
+    else:
+        probe = np.unique(
+            np.linspace(contexts[0], contexts[-1], samples).astype(int)
+        )
+    tp = sm.stage.tp_degree
+    probe_ctx = probe.tolist()
+    # (layers, probes), summed over layers column by column, in order.
+    times = _layer_sum(
+        _per_layer(
+            sm.stage.layer_bits,
+            lambda b: [
+                sm.timing.decode(sm.gpu, b, size, c, tp) for c in probe_ctx
+            ],
+        )
+    )
+    if sm.is_first:
+        times = times + roofline.embedding_time(sm.gpu, sm.spec, size)
+    if sm.is_last:
+        times = times + roofline.lm_head_time(sm.gpu, sm.spec, size)
+    if direct:
+        return times.tolist()
+    return np.interp(contexts, probe, times).tolist()

@@ -9,6 +9,12 @@ the pure duration functions (prefill chunk times, decode step series,
 transfer times).  All of it is a pure function of ``(plan, cluster,
 spec, timing)``: the two drivers compute bit-identical durations because
 they call the *same* code with the same inputs.
+
+Stage durations go through the stage-timing kernel
+(:func:`~repro.pipeline.stage.stage_prefill_time`,
+:func:`~repro.pipeline.stage.stage_decode_series`) over a
+:class:`~repro.pipeline.stage.MemoizedTiming` the topology owns, so a
+unit layer cost is computed once per topology however many fills ask.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from ..models.architectures import ModelSpec
 from ..models import layers as L
 from ..plan import ExecutionPlan
 from .events import EventLoop, Server
-from .stage import RooflineTiming, StageExecutionModel, TimingSource
+from .stage import (
+    MemoizedTiming,
+    RooflineTiming,
+    StageExecutionModel,
+    TimingSource,
+    stage_decode_series,
+    stage_prefill_time,
+)
 
 __all__ = [
     "FEEDBACK_BYTES_PER_REQ",
@@ -58,7 +71,8 @@ class PipelineTopology:
     Built once per simulation run; drivers hoist the returned durations
     into local tables themselves (the hoisting strategy differs between
     offline — all sizes known upfront — and online — sizes discovered as
-    groups form).
+    groups form).  ``timing`` is the topology's own unit-cost memo: it
+    lives exactly as long as the topology does.
     """
 
     plan: ExecutionPlan
@@ -83,6 +97,8 @@ class PipelineTopology:
                 f"model has {spec.num_layers}"
             )
         timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
+        if not isinstance(timing, MemoizedTiming):
+            timing = MemoizedTiming(timing)
         by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
         n_stages = plan.num_stages
         stage_models = [
@@ -130,12 +146,12 @@ class PipelineTopology:
         return [Server(loop, f"stage{j}") for j in range(self.num_stages)]
 
     # -- pure duration functions ---------------------------------------
-    # Each is exactly the expression the pre-split offline simulator
-    # inlined; drivers memoize the returned floats per (stage, size).
+    # Each returns exactly the floats of the per-layer oracle
+    # (StageExecutionModel); drivers memoize them per (stage, size).
 
     def prefill_time(self, j: int, size: int, chunk_len: int) -> float:
         """One prefill chunk of ``size`` requests on stage ``j``."""
-        return self.stage_models[j].prefill_chunk_time(size, chunk_len)
+        return stage_prefill_time(self.stage_models[j], size, chunk_len)
 
     def prefill_comm(self, j: int, size: int, chunk_len: int) -> float:
         """Hidden-state transfer of one prefill chunk over link ``j``."""
@@ -147,9 +163,9 @@ class PipelineTopology:
         self, j: int, size: int, prompt_len: int, n_tokens: int
     ) -> List[float]:
         """Decode-step times t=1..n_tokens-1 on stage ``j`` (plain floats)."""
-        return self.stage_models[j].decode_time_series(
-            size, prompt_len, n_tokens
-        ).tolist()
+        return stage_decode_series(
+            self.stage_models[j], size, prompt_len, n_tokens
+        )
 
     def decode_comm(self, j: int, size: int) -> float:
         """Single-token hidden-state transfer over link ``j``."""

@@ -197,3 +197,24 @@ def test_online_burst_smaller_than_microbatch(small_cluster, opt13b):
     assert res.groups_formed == 1
     assert res.total_tokens == 4
     assert len(res.ttft_s) == 1 and res.ttft_s[0] > 0.0
+
+
+@pytest.mark.parametrize("field", ["ttft_slo_s", "horizon_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_online_config_rejects_non_finite(field, value):
+    """NaN slips past ``x <= 0`` and would disable SLO shedding (or the
+    horizon) silently; non-finite values must fail naming the field."""
+    from repro.pipeline import OnlineConfig
+
+    with pytest.raises(ValueError, match=field):
+        OnlineConfig(**{field: value})
+
+
+def test_online_config_accepts_finite_bounds():
+    from repro.pipeline import OnlineConfig
+
+    assert OnlineConfig(ttft_slo_s=1e-6, horizon_s=0.0).horizon_s == 0.0
+    with pytest.raises(ValueError, match="ttft_slo_s"):
+        OnlineConfig(ttft_slo_s=0.0)
+    with pytest.raises(ValueError, match="horizon_s"):
+        OnlineConfig(horizon_s=-1e-9)
