@@ -1,7 +1,7 @@
 """Bench: batched plan-frontier evaluation vs the per-plan fast path.
 
 Measures ``repro.pipeline.evaluate_plans`` against a per-plan
-``simulate_plan(sim_backend="fast")`` loop on two realistic frontiers:
+``simulate_plan`` (fast path) loop on two realistic frontiers:
 
 * the Table-VI planner configuration (OPT-30B on cluster 5) with a
   frontier of bitwidth x micro-batching x chunking variants — the shape
@@ -114,7 +114,7 @@ def _measure(cases, rounds: int = ROUNDS):
         return [
             simulate_plan(
                 c.plan, c.cluster, c.spec, c.workload,
-                check_memory=False, sim_backend="fast",
+                check_memory=False,
             )
             for c in cases
         ]

@@ -24,7 +24,12 @@ from repro.core import PlannerConfig, SplitQuantPlanner
 from repro.experiments.common import cost_model_for
 from repro.hardware import table_iii_cluster
 from repro.models import get_model
-from repro.pipeline import PlanCase, evaluate_plans, simulate_plan
+from repro.pipeline import (
+    PlanCase,
+    evaluate_plans,
+    simulate_plan,
+    simulate_plan_reference,
+)
 from repro.plan import uniform_plan
 from repro.workloads import BatchWorkload
 
@@ -67,10 +72,9 @@ def measure_parity() -> dict:
     )
     all_identical = True
     for (spec, cluster, plan, wl), ba in zip(cases, batched):
-        ev = simulate_plan(plan, cluster, spec, wl,
-                           check_memory=False, sim_backend="event")
-        fa = simulate_plan(plan, cluster, spec, wl,
-                           check_memory=False, sim_backend="fast")
+        ev = simulate_plan_reference(plan, cluster, spec, wl,
+                                     check_memory=False)
+        fa = simulate_plan(plan, cluster, spec, wl, check_memory=False)
         identical = ev == fa == ba and ev.energy_j == fa.energy_j == ba.energy_j
         all_identical &= identical
         points.append(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.hardware import table_iii_cluster
 from repro.models import get_model
-from repro.pipeline import simulate_plan
+from repro.pipeline import simulate_plan, simulate_plan_reference
 from repro.plan import uniform_plan
 from repro.workloads import BatchWorkload
 
@@ -64,13 +64,11 @@ def _wall(fn, rounds: int = ROUNDS) -> float:
 def test_sim_scaling():
     spec, cluster, plan, workload = _fleet_scale_config()
 
-    run_event = lambda: simulate_plan(  # noqa: E731
-        plan, cluster, spec, workload,
-        check_memory=False, sim_backend="event",
+    run_event = lambda: simulate_plan_reference(  # noqa: E731
+        plan, cluster, spec, workload, check_memory=False,
     )
     run_fast = lambda: simulate_plan(  # noqa: E731
-        plan, cluster, spec, workload,
-        check_memory=False, sim_backend="fast",
+        plan, cluster, spec, workload, check_memory=False,
     )
 
     ev = run_event()
@@ -78,6 +76,7 @@ def test_sim_scaling():
     # Hard parity requirement: the fast path is a reimplementation of
     # the same schedule, never an approximation.
     assert ev == fa
+    assert fa.sim_backend == "fast"
     assert ev.events_processed == fa.events_processed
     assert ev.events_processed > 10_000  # fleet-scale, not a toy
 

@@ -65,7 +65,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Degenerate online == offline, bit for bit.
     # ------------------------------------------------------------------
-    offline = sess.simulate(sim_backend="event")
+    offline = sess.simulate()
     degenerate = sess.serve_online(
         closed_batch_trace(wl),
         config=OnlineConfig(chunk_tokens=512, admission="none"),

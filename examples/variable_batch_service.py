@@ -25,7 +25,7 @@ from repro import (
 )
 from repro.baselines import plan_uniform_baseline
 from repro.experiments.common import cost_model_for
-from repro.pipeline import render_gantt, simulate_plan_variable, trace_plan
+from repro.pipeline import render_gantt, simulate_plan, trace_plan
 from repro.workloads import VariableBatchWorkload, sample_dataset
 
 
@@ -56,11 +56,11 @@ def main() -> None:
     result = planner.plan(planning)
     print(f"plan: {result.plan.describe()}\n")
 
-    sq = simulate_plan_variable(result.plan, cluster, spec, vwl)
+    sq = simulate_plan(result.plan, cluster, spec, vwl)
     print(f"SplitQuant : {sq.throughput_tokens_s:7.1f} tokens/s "
           f"(makespan {sq.makespan_s:.1f}s)")
     if uniform is not None:
-        uni = simulate_plan_variable(uniform.plan, cluster, spec, vwl)
+        uni = simulate_plan(uniform.plan, cluster, spec, vwl)
         print(f"Uniform-{uniform.bits:<3}: {uni.throughput_tokens_s:7.1f} "
               f"tokens/s (makespan {uni.makespan_s:.1f}s)")
         print(f"speedup    : "

@@ -127,7 +127,7 @@ def measure_planner() -> dict:
 
 def measure_sim() -> dict:
     """Fresh fast-vs-event simulator speedup on the fleet-scale config."""
-    from repro.pipeline import simulate_plan
+    from repro.pipeline import simulate_plan, simulate_plan_reference
     from repro.plan import uniform_plan
 
     spec = get_model("opt-30b")
@@ -144,19 +144,16 @@ def measure_sim() -> dict:
         batch=64, prompt_len=512, output_len=256, chunk_tokens=512
     )
 
-    def wall(backend: str, rounds: int = 5) -> tuple[float, object]:
+    def wall(simulate, rounds: int = 5) -> tuple[float, object]:
         best, res = float("inf"), None
         for _ in range(rounds):
             t0 = time.perf_counter()
-            res = simulate_plan(
-                plan, cluster, spec, workload,
-                check_memory=False, sim_backend=backend,
-            )
+            res = simulate(plan, cluster, spec, workload, check_memory=False)
             best = min(best, time.perf_counter() - t0)
         return best, res
 
-    event_wall_s, ev = wall("event")
-    fast_wall_s, fa = wall("fast")
+    event_wall_s, ev = wall(simulate_plan_reference)
+    fast_wall_s, fa = wall(simulate_plan)
     return {
         "bench": "sim_scaling",
         "event_wall_s": round(event_wall_s, 5),

@@ -50,7 +50,7 @@ from .pipeline import (
     render_gantt,
     simulate_degraded,
     simulate_plan,
-    simulate_plan_variable,
+    simulate_plan_reference,
     trace_plan,
 )
 from .plan import ExecutionPlan, InfeasibleError, StagePlan, uniform_plan
@@ -94,7 +94,7 @@ __all__ = [
     "render_gantt",
     "simulate_degraded",
     "simulate_plan",
-    "simulate_plan_variable",
+    "simulate_plan_reference",
     "trace_plan",
     "load_plan",
     "save_plan",

@@ -215,18 +215,14 @@ class Session:
         check_memory: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         detection_overhead_s: float = 0.0,
-        sim_backend: str = "auto",
     ) -> Union[PipelineSimResult, DegradedSimResult]:
         """Simulate a plan (defaults to the last one).
 
-        ``sim_backend`` selects the engine: ``"event"`` forces the
-        discrete-event loop, ``"fast"`` the closed-form steady-state
-        recurrence (bit-identical results), ``"auto"`` picks the fast
-        path whenever it is exact.  With ``fault_plan`` the
-        degraded-recovery mirror (:func:`repro.pipeline.simulate_degraded`)
-        runs instead and a :class:`DegradedSimResult` is returned
-        (fault timelines are inherently event-driven, so ``sim_backend``
-        does not apply there).
+        Runs :func:`repro.pipeline.simulate_plan`, which takes the
+        closed-form fast path whenever it is exact.  With ``fault_plan``
+        the degraded-recovery mirror
+        (:func:`repro.pipeline.simulate_degraded`) runs instead and a
+        :class:`DegradedSimResult` is returned.
         """
         ex_plan = self._resolve_plan(plan)
         wl = workload or self._last_workload
@@ -245,7 +241,7 @@ class Session:
                 )
             return simulate_plan(
                 ex_plan, self.cluster, self.spec, wl,
-                check_memory=check_memory, sim_backend=sim_backend,
+                check_memory=check_memory,
             )
 
     def score_plans(
@@ -365,7 +361,6 @@ class Session:
         plan: Optional[Union[ExecutionPlan, PlannerResult]] = None,
         config: Optional["OnlineConfig"] = None,
         check_memory: bool = True,
-        sim_backend: str = "auto",
     ) -> "OnlineSimResult":
         """Simulate online serving of an arrival stream on this session.
 
@@ -376,10 +371,7 @@ class Session:
         :func:`~repro.workloads.closed_batch_trace`); ``plan`` defaults
         to the last :meth:`plan` result.  ``config`` is an
         :class:`~repro.pipeline.OnlineConfig` controlling chunking,
-        continuous-batching group size, and KV/SLO admission.
-        ``sim_backend`` picks the engine (``"event"``, ``"fast"``, or
-        the default ``"auto"``) — the backends are bit-identical, so
-        this is a speed knob, not a fidelity one.  Returns an
+        continuous-batching group size, and KV/SLO admission.  Returns an
         :class:`~repro.pipeline.OnlineSimResult` (a :class:`Summary`)
         with per-request TTFT/TPOT/latency percentiles.
         """
@@ -388,7 +380,6 @@ class Session:
             return simulate_online(
                 ex_plan, self.cluster, self.spec, arrivals,
                 config=config, check_memory=check_memory,
-                sim_backend=sim_backend,
             )
 
     def schedule_fleet(

@@ -25,7 +25,7 @@ import numpy as np
 from ..core import PlannerConfig, SplitQuantPlanner
 from ..hardware.cluster import table_iii_cluster
 from ..models.architectures import get_model
-from ..pipeline import simulate_plan_variable
+from ..pipeline import simulate_plan
 from ..simgpu.memory import OutOfMemoryError
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .common import cost_model_for, throughput_of
@@ -55,7 +55,7 @@ def _variable_tput(spec, cluster, vwl, estimate: str) -> float:
     if res is None:
         return 0.0
     try:
-        return simulate_plan_variable(
+        return simulate_plan(
             res.plan, cluster, spec, vwl
         ).throughput_tokens_s
     except OutOfMemoryError:

@@ -194,15 +194,13 @@ def simulate_schedule(
     schedule: FleetSchedule,
     cross_node_link: str = "eth-800g",
     check_memory: bool = True,
-    sim_backend: str = "auto",
     price_book: Optional[PriceBook] = None,
 ) -> FleetSimResult:
     """Simulate every scheduled job and compose the fleet timeline.
 
-    ``sim_backend`` selects the per-job pipeline simulator engine
-    (``"auto"`` takes the closed-form fast path whenever it is exact —
-    which, for fleet jobs' uniform batches, is always).  ``price_book``
-    prices the fleet's rental and electricity
+    Each job's batch runs through :func:`repro.pipeline.simulate_plan`
+    (the closed-form fast path, exact for fleet jobs' uniform batches).
+    ``price_book`` prices the fleet's rental and electricity
     (:func:`repro.costmodel.energy.default_price_book` when ``None``) —
     GPU types listed in its ``spot_types`` bill at spot rates.
     """
@@ -212,7 +210,7 @@ def simulate_schedule(
         allocator=schedule.allocator,
     ) as sp:
         result = _simulate_schedule(
-            schedule, cross_node_link, check_memory, sim_backend, price_book
+            schedule, cross_node_link, check_memory, price_book
         )
         sp.set(makespan_s=round(result.makespan_s, 3))
         if trace.enabled:
@@ -225,7 +223,6 @@ def _one_job_sim(
     sj: ScheduledJob,
     cross_node_link: str,
     check_memory: bool,
-    sim_backend: str = "auto",
 ) -> PipelineSimResult:
     assignment = sj.assignment
     cluster = assignment.materialize_cluster(cross_node_link)
@@ -236,7 +233,6 @@ def _one_job_sim(
         spec,
         assignment.job.workload,
         check_memory=check_memory,
-        sim_backend=sim_backend,
     )
 
 
@@ -279,13 +275,12 @@ def _simulate_schedule(
     schedule: FleetSchedule,
     cross_node_link: str,
     check_memory: bool,
-    sim_backend: str = "auto",
     price_book: Optional[PriceBook] = None,
 ) -> FleetSimResult:
     if price_book is None:
         price_book = default_price_book()
     batch_sims = [
-        _one_job_sim(sj, cross_node_link, check_memory, sim_backend)
+        _one_job_sim(sj, cross_node_link, check_memory)
         for sj in schedule.jobs
     ]
     assignments = [sj.assignment for sj in schedule.jobs]

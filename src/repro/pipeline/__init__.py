@@ -5,16 +5,14 @@ from .batchsim import PlanCase, evaluate_plans
 from .fastsim import (
     build_plan_tables,
     clear_table_caches,
-    fast_eligibility,
     fast_eligibility_variable,
-    fast_eligible,
-    fast_eligible_variable,
 )
 from .online import (
     ADMISSION_POLICIES,
     OnlineConfig,
     OnlineSimResult,
     OnlineTables,
+    SIM_BACKENDS,
     clear_online_caches,
     online_tables,
     simulate_online,
@@ -23,11 +21,10 @@ from .online_fast import fast_online_eligibility
 from .simulator import (
     DegradedSimResult,
     PipelineSimResult,
-    SIM_BACKENDS,
     check_plan_memory,
     simulate_degraded,
     simulate_plan,
-    simulate_plan_variable,
+    simulate_plan_reference,
 )
 from .topology import PipelineTopology, microbatch_sizes
 from .trace import Timeline, render_gantt, trace_plan
@@ -59,14 +56,11 @@ __all__ = [
     "build_plan_tables",
     "clear_table_caches",
     "evaluate_plans",
-    "fast_eligibility",
     "fast_online_eligibility",
     "fast_eligibility_variable",
-    "fast_eligible",
-    "fast_eligible_variable",
     "simulate_degraded",
     "simulate_plan",
-    "simulate_plan_variable",
+    "simulate_plan_reference",
     "Timeline",
     "render_gantt",
     "trace_plan",

@@ -35,17 +35,17 @@ cells are exact no-ops:
   are bit-exact identities, and ``-inf`` only ever enters arrival terms,
   never durations or finish times, so no NaNs can form.
 
-Eligibility is delegated to :func:`repro.pipeline.fastsim.fast_eligibility`
-/ :func:`fast_eligibility_variable` — the same predicate ``auto``
-dispatch uses.  A frontier member that declines (variable batches with
-retiring requests) falls back to the event engine; the fallback is
-counted (``batchsim.fallback``) and the reason recorded on
-``PipelineSimResult.backend_reason``.
+A frontier member the closed form cannot take (a variable batch whose
+requests retire mid-decode, per
+:func:`repro.pipeline.fastsim.fast_eligibility_variable`) runs through
+``simulate_plan``, which records the reason on
+``PipelineSimResult.backend_reason``; such fallbacks are counted
+(``batchsim.fallback``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     List,
@@ -65,7 +65,6 @@ from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .fastsim import (
     PlanTables,
     build_plan_tables,
-    fast_eligibility,
     fast_eligibility_variable,
     shared_default_timing,
 )
@@ -99,10 +98,10 @@ def evaluate_plans(
     """Score a frontier of plans in one vectorized sweep.
 
     Returns one :class:`PipelineSimResult` per case, in input order,
-    bit-identical to calling ``simulate_plan`` (fast backend) on each
-    case individually.  Ineligible members (variable workloads with
-    retiring requests) fall back to the event engine with the decline
-    reason recorded on ``backend_reason``.
+    bit-identical to calling ``simulate_plan`` on each case individually.
+    Variable workloads with retiring requests go through
+    ``simulate_plan`` itself (the event engine, with the reason recorded
+    on ``backend_reason``).
 
     ``check_memory=True`` replays the per-plan memory check in input
     order, so an infeasible member raises the same
@@ -115,7 +114,7 @@ def evaluate_plans(
         PipelineSimResult,
         check_plan_memory,
         simulate_plan,
-        simulate_plan_variable,
+        uniform_view,
     )
 
     n = len(cases)
@@ -129,37 +128,17 @@ def evaluate_plans(
         fallbacks = 0
         for i, case in enumerate(cases):
             plan, wl = case.plan, case.workload
-            if isinstance(wl, VariableBatchWorkload):
-                reason = fast_eligibility_variable(wl)
-                if reason is not None:
-                    res = simulate_plan_variable(
-                        plan, case.cluster, case.spec, wl,
-                        timing=case.timing, check_memory=check_memory,
-                        sim_backend="event",
-                    )
-                    results[i] = replace(res, backend_reason=reason)
-                    fallbacks += 1
-                    continue
-                uniform = BatchWorkload(
-                    batch=wl.batch,
-                    prompt_len=wl.prompt_len,
-                    output_len=wl.max_output,
-                    chunk_tokens=wl.chunk_tokens,
+            if (
+                isinstance(wl, VariableBatchWorkload)
+                and fast_eligibility_variable(wl) is not None
+            ):
+                results[i] = simulate_plan(
+                    plan, case.cluster, case.spec, wl,
+                    timing=case.timing, check_memory=check_memory,
                 )
-                total_tokens = wl.total_output_tokens
-            else:
-                reason = fast_eligibility(plan, wl)
-                if reason is not None:  # pragma: no cover - always eligible
-                    res = simulate_plan(
-                        plan, case.cluster, case.spec, wl,
-                        timing=case.timing, check_memory=check_memory,
-                        sim_backend="event",
-                    )
-                    results[i] = replace(res, backend_reason=reason)
-                    fallbacks += 1
-                    continue
-                uniform = wl
-                total_tokens = wl.batch * wl.output_len
+                fallbacks += 1
+                continue
+            uniform = uniform_view(wl)
             if plan.num_layers != case.spec.num_layers:
                 raise ValueError(
                     f"plan covers {plan.num_layers} layers, model has "
@@ -177,7 +156,9 @@ def evaluate_plans(
                 plan, case.cluster, case.spec, uniform, timing,
                 share_components=True,
             )
-            lanes.append((i, tables, total_tokens, stage_mem, case, uniform))
+            lanes.append(
+                (i, tables, wl.total_output_tokens, stage_mem, case, uniform)
+            )
 
         if lanes:
             prefill_span, decode_span, busy = _batched_core(

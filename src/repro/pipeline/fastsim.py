@@ -27,11 +27,10 @@ results are bit-equal to the event-driven oracle, not approximations.
 The differential grid in ``tests/test_fastsim.py`` asserts exact
 equality.
 
-Eligibility: any fault-free uniform-micro-batch run (every
-``simulate_plan`` call) and the fixed-size degenerate case of
-``simulate_plan_variable`` (all requests generating the same number of
-tokens, where retirement never splits a round).  Variable-length decode
-with mid-flight retirement keeps the event-driven path.
+Eligibility: any fault-free uniform batch, and a variable batch whose
+requests all generate the same number of tokens (retirement never splits
+a round).  Variable-length decode with mid-flight retirement runs the
+event engine; :func:`fast_eligibility_variable` says why.
 
 Duration tables (per-stage chunk times, decode step series, link and
 feedback delays) are built once per ``(plan, cluster, workload, timing)``
@@ -43,7 +42,7 @@ same plan — and the cross-plan batched evaluator in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,15 +60,13 @@ from .stage import (
     stage_decode_series,
     stage_prefill_time,
 )
+from .topology import FEEDBACK_BYTES_PER_REQ, microbatch_sizes
 
 __all__ = [
     "PlanTables",
     "build_plan_tables",
     "clear_table_caches",
-    "fast_eligibility",
     "fast_eligibility_variable",
-    "fast_eligible",
-    "fast_eligible_variable",
     "shared_default_timing",
 ]
 
@@ -82,19 +79,6 @@ __all__ = [
 VARIABLE_RETIRING_REASON = (
     "variable output lengths (requests retire mid-decode)"
 )
-
-
-def fast_eligibility(
-    plan: ExecutionPlan, workload: BatchWorkload
-) -> Optional[str]:
-    """Why the fast path would *decline* a uniform-batch run, or ``None``.
-
-    Uniform micro-batching with no injected faults is exactly the
-    ``simulate_plan`` contract, so every such run is eligible; the hook
-    exists so ``sim_backend="auto"`` and the batched evaluator share one
-    documented decision point (and one reason string when it declines).
-    """
-    return None
 
 
 def fast_eligibility_variable(
@@ -110,16 +94,6 @@ def fast_eligibility_variable(
     if len(set(lens)) == 1:
         return None
     return VARIABLE_RETIRING_REASON
-
-
-def fast_eligible(plan: ExecutionPlan, workload: BatchWorkload) -> bool:
-    """Whether the closed-form fast path applies to a uniform-batch run."""
-    return fast_eligibility(plan, workload) is None
-
-
-def fast_eligible_variable(workload: VariableBatchWorkload) -> bool:
-    """The fixed-size portion of the variable simulator: equal lengths."""
-    return fast_eligibility_variable(workload) is None
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +228,7 @@ def _build_stage_context(
     spec: ModelSpec,
     timing: TimingSource,
 ):
-    """Stage execution models + links, mirroring ``_simulate_plan``."""
+    """Stage execution models + links, mirroring ``PipelineTopology.build``."""
     by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
     n_stages = plan.num_stages
     stage_models = [
@@ -372,8 +346,6 @@ def build_plan_tables(
                 (timing, (stage_models, fwd_links, feedback_link)),
             )
     n_stages = len(stage_models)
-    from .simulator import _FEEDBACK_BYTES_PER_REQ, _microbatch_sizes
-
     # -- prefill ---------------------------------------------------------
     chunk = workload.chunk_len
     pre_key = (
@@ -384,7 +356,7 @@ def build_plan_tables(
     if pre_hit is not None:
         n_mb, kappa, n_pre, pre_dur, pre_comm = pre_hit[1]
     else:
-        pre_sizes = _microbatch_sizes(workload.batch, plan.prefill_microbatch)
+        pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
         kappa = workload.kappa
         # Uniform micro-batching yields at most two distinct sizes, so the
         # flat job vectors are assembled by fancy-indexing one value per
@@ -439,7 +411,7 @@ def build_plan_tables(
         if dec_hit is not None:
             n_dec, series_jm, comm_jm, fb_m, dec_arr = dec_hit[1]
         else:
-            dec_sizes = _microbatch_sizes(
+            dec_sizes = microbatch_sizes(
                 workload.batch, plan.decode_microbatch
             )
             dec_series: Dict[Tuple[int, int], List[float]] = {}
@@ -458,7 +430,7 @@ def build_plan_tables(
             fb_delay = {
                 size: (
                     feedback_link.transfer_time(
-                        size * _FEEDBACK_BYTES_PER_REQ
+                        size * FEEDBACK_BYTES_PER_REQ
                     )
                     if feedback_link is not None
                     else 0.0
@@ -502,10 +474,7 @@ def build_plan_tables(
     return tables
 
 
-def _fast_core(
-    tables: PlanTables,
-    emit_spans: bool,
-) -> Tuple[float, float, List[float], int]:
+def _fast_core(tables: PlanTables) -> Tuple[float, float, List[float], int]:
     """The cumulative-max recurrence over (micro-batch x stage) arrays.
 
     Returns ``(prefill_span, decode_span, stage_busy, events)`` with
@@ -519,7 +488,7 @@ def _fast_core(
     free: List[float] = []
     with trace.span(
         "sim.prefill", microbatches=tables.n_mb, chunks=tables.kappa
-    ) if emit_spans else _NULL_CTX as sp:
+    ) as sp:
         # Stage 0 sees zero arrivals: finish times are a plain running
         # sum, and np.cumsum accumulates sequentially (bit-identical to
         # the event loop's free_at chain).
@@ -551,8 +520,7 @@ def _fast_core(
         # Per-stage finishes are nondecreasing in FIFO order, so the
         # last stage's final job is the event loop's max().
         prefill_span = float(prev[-1])
-        if emit_spans:
-            sp.set(events=tables.pre_events)
+        sp.set(events=tables.pre_events)
 
     # -- decode: (round, micro-batch) with autoregressive feedback ------
     decode_steps = tables.decode_steps
@@ -565,7 +533,7 @@ def _fast_core(
 
         with trace.span(
             "sim.decode", microbatches=n_dec, steps=decode_steps
-        ) if emit_spans else _NULL_CTX as sp:
+        ) as sp:
             arrivals0 = [prefill_span] * n_dec
             rng_dec = range(n_dec)
             finishes: List[float] = arrivals0
@@ -604,107 +572,41 @@ def _fast_core(
                         finishes[m] + fb_m[m] for m in rng_dec
                     ]
             decode_span = max(finishes) - prefill_span
-            if emit_spans:
-                sp.set(events=tables.dec_events)
+            sp.set(events=tables.dec_events)
 
     return prefill_span, decode_span, busy, tables.events
-
-
-class _NullCtx:
-    """A no-op ``with`` target standing in for a span (variable path)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def set(self, **attrs) -> None:  # pragma: no cover - never called
-        pass
-
-
-_NULL_CTX = _NullCtx()
 
 
 def _fast_simulate_plan(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
-    workload: BatchWorkload,
+    workload: Union[BatchWorkload, VariableBatchWorkload],
     timing: Optional[TimingSource],
     check_memory: bool,
 ):
-    """Fast-path twin of ``_simulate_plan`` (bit-equal results)."""
-    from .simulator import PipelineSimResult, check_plan_memory
+    """Fast-path twin of the event engine (bit-equal results).
 
-    if plan.num_layers != spec.num_layers:
-        raise ValueError(
-            f"plan covers {plan.num_layers} layers, model has {spec.num_layers}"
-        )
-    timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
-    stage_mem = (
-        check_plan_memory(plan, cluster, spec, workload)
-        if check_memory
-        else tuple(0 for _ in plan.stages)
-    )
-    tables = build_plan_tables(plan, cluster, spec, workload, timing)
-    prefill_span, decode_span, busy, events = _fast_core(
-        tables, emit_spans=True
-    )
-    return PipelineSimResult(
-        makespan_s=prefill_span + decode_span,
-        prefill_span_s=prefill_span,
-        decode_span_s=decode_span,
-        total_tokens=workload.batch * workload.output_len,
-        stage_busy_s=tuple(busy),
-        stage_memory_bytes=stage_mem,
-        events_processed=events,
-        sim_backend="fast",
-    )
-
-
-def _fast_simulate_plan_variable(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    workload: VariableBatchWorkload,
-    timing: Optional[TimingSource],
-    check_memory: bool,
-):
-    """Fast-path twin of ``_simulate_plan_variable`` for equal lengths.
-
-    With every request generating the same token count, retirement only
-    happens after the final round, so the variable-length event schedule
-    degenerates to the uniform one and the same recurrence is exact.
-    Callers must check :func:`fast_eligible_variable` first.
+    A variable batch is accepted only when every request generates the
+    same token count: retirement then happens after the final round, so
+    the retiring schedule degenerates to the uniform one and the same
+    recurrence is exact.  The caller (``simulate_plan``) checks that.
     """
-    from .simulator import PipelineSimResult, check_plan_memory
+    from .simulator import PipelineSimResult, check_plan_memory, uniform_view
 
-    if not fast_eligible_variable(workload):
-        raise ValueError(
-            "fast backend requires uniform output lengths; "
-            "use sim_backend='event' for retiring requests"
-        )
     if plan.num_layers != spec.num_layers:
         raise ValueError(
             f"plan covers {plan.num_layers} layers, model has {spec.num_layers}"
         )
     timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
-    uniform = BatchWorkload(
-        batch=workload.batch,
-        prompt_len=workload.prompt_len,
-        output_len=workload.max_output,
-        chunk_tokens=workload.chunk_tokens,
-    )
+    uniform = uniform_view(workload)
     stage_mem = (
         check_plan_memory(plan, cluster, spec, uniform)
         if check_memory
         else tuple(0 for _ in plan.stages)
     )
     tables = build_plan_tables(plan, cluster, spec, uniform, timing)
-    prefill_span, decode_span, busy, events = _fast_core(
-        tables, emit_spans=False
-    )
+    prefill_span, decode_span, busy, events = _fast_core(tables)
     return PipelineSimResult(
         makespan_s=prefill_span + decode_span,
         prefill_span_s=prefill_span,

@@ -65,7 +65,7 @@ from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload
 from .events import EventLoop
 from .fastsim import _bounded_put, _timing_token
-from .simulator import _check_backend, check_plan_memory
+from .simulator import check_plan_memory
 from .stage import RooflineTiming, TimingSource
 from .topology import PipelineTopology, microbatch_sizes
 
@@ -74,6 +74,7 @@ __all__ = [
     "OnlineConfig",
     "OnlineSimResult",
     "OnlineTables",
+    "SIM_BACKENDS",
     "clear_online_caches",
     "online_tables",
     "simulate_online",
@@ -83,6 +84,17 @@ __all__ = [
 #: against each stage's memory budget; ``"none"`` admits everything
 #: (the offline-equivalent mode — memory is then pre-checked worst-case).
 ADMISSION_POLICIES = ("kv", "none")
+
+#: Accepted ``sim_backend`` values for :func:`simulate_online`.
+SIM_BACKENDS = ("event", "fast", "auto")
+
+
+def _check_backend(sim_backend: str) -> None:
+    if sim_backend not in SIM_BACKENDS:
+        raise ValueError(
+            f"unknown sim_backend {sim_backend!r} (expected one of "
+            f"{SIM_BACKENDS})"
+        )
 
 
 @dataclass(frozen=True)

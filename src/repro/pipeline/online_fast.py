@@ -45,9 +45,7 @@ accounting are identical by construction, not by re-implementation.
 Eligibility: every online run replays exactly (the argument above has
 no side conditions), so :func:`fast_online_eligibility` — the
 documented decision point ``sim_backend="auto"`` routes through —
-always returns ``None``, mirroring the offline
-:func:`~repro.pipeline.fastsim.fast_eligibility` precedent.
-``tests/test_online_fast.py`` pins the full differential grid.
+always returns ``None``.  ``tests/test_online_fast.py`` pins the full differential grid.
 """
 
 from __future__ import annotations

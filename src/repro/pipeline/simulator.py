@@ -7,6 +7,10 @@ proceeds token by token with the autoregressive feedback loop from the
 last stage's LM head back to the first stage's embedding.  Phases are
 sequential, matching the paper's offline latency model (objective (4)).
 
+:func:`simulate_plan` is the one offline entry: it takes the closed-form
+fast path (:mod:`repro.pipeline.fastsim`) whenever that path is exact and
+the discrete-event engine (:func:`simulate_plan_reference`) otherwise.
+
 Per-stage memory is checked against the paper's memory cost model before
 anything runs; infeasible plans raise
 :class:`~repro.simgpu.memory.OutOfMemoryError` just as they would on
@@ -15,8 +19,18 @@ hardware.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -30,25 +44,10 @@ from ..simgpu.memory import OutOfMemoryError
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .events import EventLoop, FaultEvent
 from .stage import TimingSource
-from .topology import (
-    FEEDBACK_BYTES_PER_REQ as _FEEDBACK_BYTES_PER_REQ,
-    PipelineTopology,
-    microbatch_sizes,
-)
+from .topology import PipelineTopology, microbatch_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultPlan
-
-#: Accepted ``sim_backend`` values for the simulator entry points.
-SIM_BACKENDS = ("event", "fast", "auto")
-
-
-def _check_backend(sim_backend: str) -> None:
-    if sim_backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown sim_backend {sim_backend!r} (expected one of "
-            f"{SIM_BACKENDS})"
-        )
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,9 @@ class PipelineSimResult:
     #: ``"fast"``).  Provenance only: excluded from equality so the
     #: differential tests can assert fast == event directly.
     sim_backend: str = field(default="event", compare=False)
-    #: Why the fast path was declined when a dispatcher (``auto`` or the
-    #: batched evaluator) dropped this run to the event engine; ``None``
-    #: when no fallback happened.  Provenance only, like ``sim_backend``.
+    #: Why ``simulate_plan`` dropped this run to the event engine (a
+    #: batch with retiring requests); ``None`` when no fallback
+    #: happened.  Provenance only, like ``sim_backend``.
     backend_reason: Optional[str] = field(default=None, compare=False)
     #: Joules drawn by the plan's GPUs over the run
     #: (:func:`repro.costmodel.energy.plan_energy`); ``None`` when the
@@ -154,12 +153,6 @@ def attach_energy(
     return replace(result, energy_j=energy, cost_usd=cost)
 
 
-# Historical location of the micro-batch splitter; the shared
-# implementation (with edge-case validation) lives in
-# :func:`repro.pipeline.topology.microbatch_sizes`.
-_microbatch_sizes = microbatch_sizes
-
-
 def check_plan_memory(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
@@ -197,49 +190,105 @@ def check_plan_memory(
     return tuple(usages)
 
 
+def uniform_view(
+    workload: Union[BatchWorkload, VariableBatchWorkload],
+) -> BatchWorkload:
+    """The padded uniform batch a workload occupies.
+
+    Memory, prefill and energy all follow this worst-case view: a
+    variable batch reserves KV for its longest request and pays the same
+    prefill wavefront as a uniform batch of that horizon.
+    """
+    if isinstance(workload, BatchWorkload):
+        return workload
+    return BatchWorkload(
+        batch=workload.batch,
+        prompt_len=workload.prompt_len,
+        output_len=workload.max_output,
+        chunk_tokens=workload.chunk_tokens,
+    )
+
+
 def simulate_plan(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
-    workload: BatchWorkload,
+    workload: Union[BatchWorkload, VariableBatchWorkload],
     timing: Optional[TimingSource] = None,
     check_memory: bool = True,
-    sim_backend: str = "auto",
 ) -> PipelineSimResult:
     """Simulate serving ``workload`` under ``plan`` on ``cluster``.
 
-    ``sim_backend`` selects the engine: ``"event"`` runs the
-    discrete-event oracle, ``"fast"`` the closed-form steady-state
-    recurrence (:mod:`repro.pipeline.fastsim`), and ``"auto"`` (default)
-    dispatches to the fast path whenever the run is eligible — which for
-    uniform fault-free batches is always.  The two backends produce
-    bit-equal results; :attr:`PipelineSimResult.sim_backend` records
-    which one ran.
+    ``workload`` is a uniform :class:`BatchWorkload` or a
+    :class:`VariableBatchWorkload` whose requests retire as they finish,
+    so decode micro-batches shrink over time and short requests stop
+    paying for long ones (the variable-output-length scenario the
+    paper's latency model only sketches, Sec. IV-C).
+
+    The closed-form recurrence (:mod:`repro.pipeline.fastsim`) runs
+    whenever it is exact: a uniform batch, or all output lengths equal.
+    A batch with retiring requests runs the discrete-event engine
+    (:func:`simulate_plan_reference`) and records why on the result's
+    ``backend_reason``.  Both engines give bit-equal results where both
+    apply; the result's ``sim_backend`` records which one ran.
     """
-    _check_backend(sim_backend)
+    from .fastsim import _fast_simulate_plan, fast_eligibility_variable
+
+    reason = (
+        None
+        if isinstance(workload, BatchWorkload)
+        else fast_eligibility_variable(workload)
+    )
+    engine = _fast_simulate_plan if reason is None else _event_simulate_plan
+    return _run(
+        engine, plan, cluster, spec, workload, timing, check_memory, reason
+    )
+
+
+def simulate_plan_reference(
+    plan: ExecutionPlan,
+    cluster: ClusterSpec,
+    spec: ModelSpec,
+    workload: Union[BatchWorkload, VariableBatchWorkload],
+    timing: Optional[TimingSource] = None,
+    check_memory: bool = True,
+) -> PipelineSimResult:
+    """The discrete-event oracle :func:`simulate_plan` must agree with.
+
+    One heap event per (micro-batch, stage, step) job, with per-job
+    labels (``P{m}.{c}`` prefill, ``D{m}.{t}`` decode) that
+    :func:`~repro.pipeline.trace.trace_plan` records.  The planner's
+    verify step, the timeline tracer, the differential tests and the
+    simulator benchmark's event side call it directly.
+    """
+    return _run(
+        _event_simulate_plan, plan, cluster, spec, workload, timing,
+        check_memory, None,
+    )
+
+
+def _run(
+    engine: Callable[..., PipelineSimResult],
+    plan: ExecutionPlan,
+    cluster: ClusterSpec,
+    spec: ModelSpec,
+    workload: Union[BatchWorkload, VariableBatchWorkload],
+    timing: Optional[TimingSource],
+    check_memory: bool,
+    reason: Optional[str],
+) -> PipelineSimResult:
+    """One ``sim.run`` span around ``engine``, plus energy and metrics."""
+    uniform = uniform_view(workload)
     with trace.span(
         "sim.run",
         stages=plan.num_stages,
         batch=workload.batch,
-        output_len=workload.output_len,
+        output_len=uniform.output_len,
     ) as sp:
-        from .fastsim import _fast_simulate_plan, fast_eligibility
-
-        reason = fast_eligibility(plan, workload)
-        use_fast = sim_backend == "fast" or (
-            sim_backend == "auto" and reason is None
-        )
-        if use_fast:
-            result = _fast_simulate_plan(
-                plan, cluster, spec, workload, timing, check_memory
-            )
-        else:
-            result = _simulate_plan(
-                plan, cluster, spec, workload, timing, check_memory
-            )
-            if sim_backend == "auto" and reason is not None:
-                result = replace(result, backend_reason=reason)
-        result = attach_energy(result, plan, cluster, spec, workload)
+        result = engine(plan, cluster, spec, workload, timing, check_memory)
+        if reason is not None:
+            result = replace(result, backend_reason=reason)
+        result = attach_energy(result, plan, cluster, spec, uniform)
         sp.set(events=result.events_processed)
         if trace.enabled:
             metrics.counter("sim.runs").inc()
@@ -251,19 +300,33 @@ def simulate_plan(
         return result
 
 
-def _simulate_plan(
+def _active_counts(lens: Sequence[int], horizon: int) -> List[int]:
+    """``active[t]``: how many of ``lens`` still generate at step ``t``."""
+    ends = [0] * (horizon + 1)
+    for n in lens:
+        ends[n] += 1
+    active: List[int] = []
+    alive = len(lens)
+    for retired in ends:
+        alive -= retired
+        active.append(alive)
+    return active
+
+
+def _event_simulate_plan(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
-    workload: BatchWorkload,
+    workload: Union[BatchWorkload, VariableBatchWorkload],
     timing: Optional[TimingSource],
     check_memory: bool,
 ) -> PipelineSimResult:
     topo = PipelineTopology.build(plan, cluster, spec, timing)
     n_stages = topo.num_stages
+    uniform = uniform_view(workload)
 
     stage_mem = (
-        check_plan_memory(plan, cluster, spec, workload)
+        check_plan_memory(plan, cluster, spec, uniform)
         if check_memory
         else tuple(0 for _ in plan.stages)
     )
@@ -274,8 +337,8 @@ def _simulate_plan(
     # ------------------------------------------------------------------
     # Prefill phase: mu_pre micro-batches x kappa chunks, chained FIFO.
     # ------------------------------------------------------------------
-    pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
-    chunk = workload.chunk_len
+    pre_sizes = microbatch_sizes(uniform.batch, plan.prefill_microbatch)
+    chunk = uniform.chunk_len
     pre_time: Dict[Tuple[int, int], float] = {}
     for size in set(pre_sizes):
         for j in range(n_stages):
@@ -286,7 +349,7 @@ def _simulate_plan(
             pre_comm[(j, size)] = topo.prefill_comm(j, size, chunk)
 
     prefill_done_at: List[float] = [0.0] * len(pre_sizes)
-    pending = {"prefill": len(pre_sizes) * workload.kappa}
+    pending = {"prefill": len(pre_sizes) * uniform.kappa}
     # Hot-loop hoists: bind the per-stage submit methods and the last
     # stage index once so each event pays local loads, not repeated
     # attribute/global lookups (behavior is bit-identical).
@@ -307,10 +370,10 @@ def _simulate_plan(
         )
 
     with trace.span(
-        "sim.prefill", microbatches=len(pre_sizes), chunks=workload.kappa
+        "sim.prefill", microbatches=len(pre_sizes), chunks=uniform.kappa
     ) as sp:
         for m, size in enumerate(pre_sizes):
-            for c in range(workload.kappa):
+            for c in range(uniform.kappa):
                 submit_prefill(0, m, c, size, 0.0)
         loop.run()
         sp.set(events=loop.processed)
@@ -319,31 +382,41 @@ def _simulate_plan(
     prefill_span = max(prefill_done_at) if prefill_done_at else 0.0
 
     # ------------------------------------------------------------------
-    # Decode phase: token-by-token with autoregressive feedback.
+    # Decode phase: token-by-token with autoregressive feedback.  A
+    # request retires after its last token, so a micro-batch's size at
+    # step ``t`` is its count of requests still generating.
     # ------------------------------------------------------------------
-    n_out = workload.output_len
-    dec_sizes = microbatch_sizes(workload.batch, plan.decode_microbatch)
+    n_out = uniform.output_len
     decode_steps = n_out - 1
     decode_span = 0.0
     if decode_steps > 0:
+        xi = plan.decode_microbatch
+        lens = (
+            (n_out,) * uniform.batch
+            if isinstance(workload, BatchWorkload)
+            else workload.output_lens
+        )
+        active = [
+            _active_counts(lens[s : s + xi], n_out)
+            for s in range(0, uniform.batch, xi)
+        ]
+        sizes = {a for counts in active for a in counts if a > 0}
         # Hoist the per-event ``float(ndarray[i])`` conversion: plain
         # Python lists carry the exact same float64 values.
         dec_series: Dict[Tuple[int, int], List[float]] = {}
-        for size in set(dec_sizes):
+        for size in sizes:
             for j in range(n_stages):
                 dec_series[(j, size)] = topo.decode_series(
-                    j, size, workload.prompt_len, n_out
+                    j, size, uniform.prompt_len, n_out
                 )
         dec_comm: Dict[Tuple[int, int], float] = {}
-        for size in set(dec_sizes):
+        for size in sizes:
             for j in range(n_stages - 1):
                 dec_comm[(j, size)] = topo.decode_comm(j, size)
-        fb_delay = {
-            size: topo.feedback_delay(size) for size in set(dec_sizes)
-        }
+        fb_delay = {size: topo.feedback_delay(size) for size in sizes}
 
-        last_token_done = [0.0] * len(dec_sizes)
-        remaining = {"jobs": len(dec_sizes)}
+        last_token_done = [prefill_span] * len(active)
+        remaining = {"jobs": 0}
 
         def submit_decode(j: int, m: int, t: int, size: int, ready: float) -> None:
             dur = dec_series[(j, size)][t - 1]
@@ -351,8 +424,10 @@ def _simulate_plan(
             def done(finish: float) -> None:
                 if j < last_stage:
                     submit_decode(j + 1, m, t, size, finish + dec_comm[(j, size)])
-                elif t < decode_steps:
-                    submit_decode(0, m, t + 1, size, finish + fb_delay[size])
+                    return
+                nxt = active[m][t + 1]
+                if nxt > 0:
+                    submit_decode(0, m, t + 1, nxt, finish + fb_delay[nxt])
                 else:
                     last_token_done[m] = finish
                     remaining["jobs"] -= 1
@@ -361,23 +436,23 @@ def _simulate_plan(
 
         events_before = loop.processed
         with trace.span(
-            "sim.decode", microbatches=len(dec_sizes), steps=decode_steps
+            "sim.decode", microbatches=len(active), steps=decode_steps
         ) as sp:
-            for m, size in enumerate(dec_sizes):
-                submit_decode(0, m, 1, size, prefill_span)
+            for m, counts in enumerate(active):
+                if counts[1] > 0:
+                    remaining["jobs"] += 1
+                    submit_decode(0, m, 1, counts[1], prefill_span)
             loop.run()
             sp.set(events=loop.processed - events_before)
         if remaining["jobs"] != 0:
             raise RuntimeError("decode simulation did not drain")
         decode_span = max(last_token_done) - prefill_span
 
-    makespan = prefill_span + decode_span
-    total_tokens = workload.batch * n_out
     return PipelineSimResult(
-        makespan_s=makespan,
+        makespan_s=prefill_span + decode_span,
         prefill_span_s=prefill_span,
         decode_span_s=decode_span,
-        total_tokens=total_tokens,
+        total_tokens=workload.total_output_tokens,
         stage_busy_s=tuple(s.busy_time for s in servers),
         stage_memory_bytes=stage_mem,
         events_processed=loop.processed,
@@ -471,6 +546,13 @@ def simulate_degraded(
     prefill pass (conservative: the wavefront is mostly through by the
     time a late stage dies).
     """
+    if not (
+        math.isfinite(detection_overhead_s) and detection_overhead_s >= 0
+    ):
+        raise ValueError(
+            f"detection_overhead_s must be finite and non-negative, got "
+            f"{detection_overhead_s!r}"
+        )
     if replan is None:
         from ..core.planner import degrade_execution_plan_internal
 
@@ -590,210 +672,4 @@ def _simulate_degraded(
         plans=tuple(plans),
         segments=tuple(segments),
         fault_events=tuple(events),
-    )
-
-
-def simulate_plan_variable(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    workload: VariableBatchWorkload,
-    timing: Optional[TimingSource] = None,
-    check_memory: bool = True,
-    sim_backend: str = "auto",
-) -> PipelineSimResult:
-    """Simulate a batch whose requests generate different token counts.
-
-    Requests retire as they finish, so decode micro-batches shrink over
-    time and short requests stop paying for long ones — the
-    variable-output-length scenario the paper's latency model only
-    sketches (Sec. IV-C).  Prefill is identical to the uniform case.
-
-    ``sim_backend="auto"`` uses the closed-form fast path for the
-    fixed-size portion of the problem (all output lengths equal, where
-    retirement never splits a decode round) and falls back to the
-    event-driven engine otherwise; ``"fast"`` raises on a genuinely
-    variable batch.
-    """
-    _check_backend(sim_backend)
-    with trace.span(
-        "sim.run_variable",
-        stages=plan.num_stages,
-        batch=workload.batch,
-        max_output=workload.max_output,
-    ) as sp:
-        from .fastsim import (
-            _fast_simulate_plan_variable,
-            fast_eligibility_variable,
-        )
-
-        reason = fast_eligibility_variable(workload)
-        use_fast = sim_backend == "fast" or (
-            sim_backend == "auto" and reason is None
-        )
-        if use_fast:
-            result = _fast_simulate_plan_variable(
-                plan, cluster, spec, workload, timing, check_memory
-            )
-        else:
-            result = _simulate_plan_variable(
-                plan, cluster, spec, workload, timing, check_memory
-            )
-            if sim_backend == "auto" and reason is not None:
-                result = replace(result, backend_reason=reason)
-        # Energy references the worst-case uniform view, mirroring the
-        # engines' own memory/prefill treatment of variable batches.
-        result = attach_energy(
-            result,
-            plan,
-            cluster,
-            spec,
-            BatchWorkload(
-                batch=workload.batch,
-                prompt_len=workload.prompt_len,
-                output_len=workload.max_output,
-                chunk_tokens=workload.chunk_tokens,
-            ),
-        )
-        sp.set(events=result.events_processed)
-        if trace.enabled:
-            metrics.counter("sim.runs_variable").inc()
-            metrics.counter(f"sim.backend_{result.sim_backend}").inc()
-            metrics.counter("sim.events").inc(result.events_processed)
-            metrics.histogram(
-                "sim.bubble_fraction", DEFAULT_FRACTION_BUCKETS
-            ).observe(result.bubble_fraction)
-        return result
-
-
-def _simulate_plan_variable(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    workload: VariableBatchWorkload,
-    timing: Optional[TimingSource],
-    check_memory: bool,
-) -> PipelineSimResult:
-    topo = PipelineTopology.build(plan, cluster, spec, timing)
-    n_stages = topo.num_stages
-
-    # Memory and prefill follow the worst-case uniform view (KV reserved
-    # for the longest request, as the paper's memory model does).
-    uniform = BatchWorkload(
-        batch=workload.batch,
-        prompt_len=workload.prompt_len,
-        output_len=workload.max_output,
-        chunk_tokens=workload.chunk_tokens,
-    )
-    stage_mem = (
-        check_plan_memory(plan, cluster, spec, uniform)
-        if check_memory
-        else tuple(0 for _ in plan.stages)
-    )
-
-    loop = EventLoop()
-    servers = topo.make_servers(loop)
-
-    # ---- prefill (same wavefront as the uniform simulator) -------------
-    pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
-    chunk = uniform.chunk_len
-    pre_time = {
-        (j, size): topo.prefill_time(j, size, chunk)
-        for size in set(pre_sizes)
-        for j in range(n_stages)
-    }
-    pre_comm = {
-        (j, size): topo.prefill_comm(j, size, chunk)
-        for size in set(pre_sizes)
-        for j in range(n_stages - 1)
-    }
-    pending = {"prefill": len(pre_sizes) * uniform.kappa}
-    prefill_done = [0.0]
-    # Hot-loop hoists (bit-identical): bound submit methods, last stage.
-    submit_at = [s.submit for s in servers]
-    last_stage = n_stages - 1
-
-    def submit_prefill(j: int, size: int, ready: float) -> None:
-        def done(finish: float) -> None:
-            if j < last_stage:
-                submit_prefill(j + 1, size, finish + pre_comm[(j, size)])
-            else:
-                prefill_done[0] = max(prefill_done[0], finish)
-                pending["prefill"] -= 1
-
-        submit_at[j](pre_time[(j, size)], done, not_before=ready)
-
-    for size in pre_sizes:
-        for _ in range(uniform.kappa):
-            submit_prefill(0, size, 0.0)
-    loop.run()
-    prefill_span = prefill_done[0]
-
-    # ---- decode with retiring requests ----------------------------------
-    xi = plan.decode_microbatch
-    slices = [
-        list(workload.output_lens[s : s + xi])
-        for s in range(0, workload.batch, xi)
-    ]
-    # Lazily built per-(stage, size) step series and link times, hoisted
-    # to Python floats once instead of per-event array indexing/transfer
-    # recomputation (values bit-identical: both are pure functions).
-    series_cache: Dict[Tuple[int, int], List[float]] = {}
-    comm_cache: Dict[Tuple[int, int], float] = {}
-
-    def step_time(j: int, size: int, t: int) -> float:
-        key = (j, size)
-        series = series_cache.get(key)
-        if series is None:
-            series = series_cache[key] = topo.decode_series(
-                j, size, workload.prompt_len, workload.max_output
-            )
-        return series[t - 1]
-
-    def comm_time(j: int, size: int) -> float:
-        key = (j, size)
-        t = comm_cache.get(key)
-        if t is None:
-            t = comm_cache[key] = topo.decode_comm(j, size)
-        return t
-
-    def active_at(m: int, t: int) -> int:
-        return sum(1 for n in slices[m] if n > t)
-
-    last_done = [prefill_span] * len(slices)
-    remaining = {"jobs": 0}
-
-    def submit_decode(j: int, m: int, t: int, size: int, ready: float) -> None:
-        def done(finish: float) -> None:
-            if j < last_stage:
-                submit_decode(j + 1, m, t, size, finish + comm_time(j, size))
-                return
-            nxt = active_at(m, t + 1)
-            if nxt > 0:
-                fb = topo.feedback_delay(nxt)
-                submit_decode(0, m, t + 1, nxt, finish + fb)
-            else:
-                last_done[m] = finish
-                remaining["jobs"] -= 1
-
-        submit_at[j](step_time(j, size, t), done, not_before=ready)
-
-    for m in range(len(slices)):
-        size = active_at(m, 1)
-        if size > 0:
-            remaining["jobs"] += 1
-            submit_decode(0, m, 1, size, prefill_span)
-    loop.run()
-    if remaining["jobs"] != 0:
-        raise RuntimeError("variable decode simulation did not drain")
-    decode_span = max(last_done) - prefill_span
-
-    return PipelineSimResult(
-        makespan_s=prefill_span + decode_span,
-        prefill_span_s=prefill_span,
-        decode_span_s=decode_span,
-        total_tokens=workload.total_output_tokens,
-        stage_busy_s=tuple(s.busy_time for s in servers),
-        stage_memory_bytes=stage_mem,
-        events_processed=loop.processed,
     )

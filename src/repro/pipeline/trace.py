@@ -1,6 +1,6 @@
 """Execution timelines: record and render pipeline schedules.
 
-``trace_plan`` reruns a plan through the discrete-event simulator with
+``trace_plan`` reruns a plan through the discrete-event oracle with
 per-job recording enabled and returns a :class:`Timeline`; ``render_gantt``
 draws it as text — the quickest way to *see* pipeline bubbles, phase
 boundaries and stage imbalance.
@@ -9,13 +9,13 @@ boundaries and stage imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..plan import ExecutionPlan
-from ..workloads.spec import BatchWorkload
-from .simulator import PipelineSimResult, simulate_plan
+from ..workloads.spec import BatchWorkload, VariableBatchWorkload
+from .simulator import PipelineSimResult, simulate_plan_reference
 from .stage import TimingSource
 
 
@@ -45,14 +45,14 @@ def trace_plan(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
-    workload: BatchWorkload,
+    workload: Union[BatchWorkload, VariableBatchWorkload],
     timing: Optional[TimingSource] = None,
     check_memory: bool = True,
 ) -> Timeline:
     """Simulate ``plan`` with per-job recording and return the timeline."""
     captured: List[Tuple[str, Tuple[Tuple[float, float, str], ...]]] = []
 
-    # simulate_plan constructs its own servers (via the shared topology);
+    # simulate_plan_reference constructs its own servers (via the shared topology);
     # intercept them by wrapping the Server class used at that call site.
     from . import topology as _topo
     from .events import Server
@@ -67,12 +67,12 @@ def trace_plan(
 
     _topo.Server = recording_server  # type: ignore[assignment]
     try:
-        # Per-job recording only exists in the discrete-event engine, so
-        # pin the backend: the fast path computes the same finish times
-        # in closed form without ever materializing servers.
-        result = simulate_plan(
+        # Per-job recording only exists in the discrete-event engine:
+        # the fast path computes the same finish times in closed form
+        # without ever materializing servers.
+        result = simulate_plan_reference(
             plan, cluster, spec, workload, timing=timing,
-            check_memory=check_memory, sim_backend="event",
+            check_memory=check_memory,
         )
     finally:
         _topo.Server = original  # type: ignore[assignment]

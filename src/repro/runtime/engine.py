@@ -26,7 +26,6 @@ fault-free single-process reference.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -84,17 +83,6 @@ class GenerationResult:
     def duration_s(self) -> float:
         """Measured wall-clock (the Summary-protocol duration)."""
         return self.prefill_time_s + self.decode_time_s
-
-    @property
-    def total_time_s(self) -> float:
-        """Deprecated alias of :attr:`duration_s`."""
-        warnings.warn(
-            "GenerationResult.total_time_s is deprecated; use "
-            "GenerationResult.duration_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.duration_s
 
     @property
     def generated_tokens(self) -> int:

@@ -23,6 +23,7 @@ mirrored 1:1 into the discrete-event simulator
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -76,8 +77,11 @@ class FaultSpec:
             raise ValueError("step must be non-negative")
         if self.phase == "decode" and self.step < 1:
             raise ValueError("decode steps are 1-based")
-        if self.kind == "slow" and self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+            raise ValueError(
+                f"delay_s must be finite and non-negative, got "
+                f"{self.delay_s!r}"
+            )
 
     def matches(self, stage: int, phase: str, step: int, mb_id: int) -> bool:
         """Does a job with these coordinates trigger this fault?"""

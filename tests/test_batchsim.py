@@ -20,7 +20,7 @@ from repro.pipeline import (
     PlanCase,
     evaluate_plans,
     simulate_plan,
-    simulate_plan_variable,
+    simulate_plan_reference,
 )
 from repro.plan import uniform_plan
 from repro.simgpu import OutOfMemoryError
@@ -68,10 +68,9 @@ def test_mixed_frontier_bit_identical():
     assert len(batched) == len(cases)
     for case, res in zip(cases, batched):
         fast = simulate_plan(
-            case.plan, case.cluster, case.spec, case.workload,
-            sim_backend="fast",
+            case.plan, case.cluster, case.spec, case.workload
         )
-        assert res.sim_backend == "fast"
+        assert fast.sim_backend == res.sim_backend == "fast"
         assert res.backend_reason is None
         assert res.makespan_s == fast.makespan_s
         assert res.prefill_span_s == fast.prefill_span_s
@@ -81,9 +80,9 @@ def test_mixed_frontier_bit_identical():
     # Event-engine oracle parity on a couple of members (the per-plan
     # fast backend is itself differentially tested against the oracle).
     for i in (0, 3):
-        ev = simulate_plan(
+        ev = simulate_plan_reference(
             cases[i].plan, cases[i].cluster, cases[i].spec,
-            cases[i].workload, sim_backend="event",
+            cases[i].workload,
         )
         assert batched[i] == ev
 
@@ -100,9 +99,8 @@ def test_singleton_frontier(small_cluster, opt13b, small_workload):
         plan=plan, cluster=small_cluster, spec=opt13b, workload=small_workload
     )
     (res,) = evaluate_plans([case], check_memory=True)
-    fast = simulate_plan(
-        plan, small_cluster, opt13b, small_workload, sim_backend="fast"
-    )
+    fast = simulate_plan(plan, small_cluster, opt13b, small_workload)
+    assert fast.sim_backend == "fast"
     assert res == fast
 
 
@@ -131,11 +129,10 @@ def test_variable_uniform_member(small_cluster, opt13b):
         plan=plan, cluster=small_cluster, spec=opt13b, workload=wl
     )
     (res,) = evaluate_plans([case])
-    fast = simulate_plan_variable(
-        plan, small_cluster, opt13b, wl, check_memory=False,
-        sim_backend="fast",
+    fast = simulate_plan(
+        plan, small_cluster, opt13b, wl, check_memory=False
     )
-    assert res.sim_backend == "fast"
+    assert fast.sim_backend == res.sim_backend == "fast"
     assert res.total_tokens == wl.total_output_tokens
     assert res == fast
 
@@ -163,9 +160,7 @@ def test_retiring_member_falls_back_with_reason(small_cluster, opt13b):
     assert fast_res.backend_reason is None
     assert event_res.sim_backend == "event"
     assert "retire" in event_res.backend_reason
-    oracle = simulate_plan_variable(
-        plan, small_cluster, opt13b, retiring, sim_backend="event"
-    )
+    oracle = simulate_plan_reference(plan, small_cluster, opt13b, retiring)
     assert event_res == oracle
 
 
@@ -245,6 +240,6 @@ def test_batched_equals_per_plan_property(members):
     for case, res in zip(cases, batched):
         fast = simulate_plan(
             case.plan, case.cluster, case.spec, case.workload,
-            check_memory=False, sim_backend="fast",
+            check_memory=False,
         )
         assert res == fast

@@ -218,3 +218,35 @@ def test_online_config_accepts_finite_bounds():
         OnlineConfig(ttft_slo_s=0.0)
     with pytest.raises(ValueError, match="horizon_s"):
         OnlineConfig(horizon_s=-1e-9)
+
+
+BAD_TIMES = [float("nan"), float("inf"), -float("inf"), -5.0]
+
+
+@pytest.mark.parametrize("value", BAD_TIMES)
+def test_simulate_degraded_rejects_bad_detection_overhead(
+    small_cluster, opt13b, small_workload, value
+):
+    """A negative overhead shrank the makespan below zero and NaN/inf
+    propagated into it; both must fail naming the field."""
+    from repro.pipeline import simulate_degraded
+    from repro.plan import uniform_plan
+    from repro.runtime import FaultPlan, FaultSpec
+
+    groups = [((d.device_id,), d.gpu.name) for d in small_cluster.devices]
+    plan = uniform_plan(opt13b.name, opt13b.num_layers, groups, 8, 4, 4)
+    faults = FaultPlan(specs=(FaultSpec("drop", 0, "decode", 4),))
+    with pytest.raises(ValueError, match="detection_overhead_s"):
+        simulate_degraded(
+            plan, small_cluster, opt13b, small_workload, faults,
+            detection_overhead_s=value,
+        )
+
+
+@pytest.mark.parametrize("value", BAD_TIMES)
+def test_fault_spec_rejects_bad_delay(value):
+    """``nan < 0`` is False, so a bare sign check let NaN delays through."""
+    from repro.runtime import FaultSpec
+
+    with pytest.raises(ValueError, match="delay_s"):
+        FaultSpec("slow", 0, "decode", 2, delay_s=value)

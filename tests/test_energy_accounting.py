@@ -29,6 +29,7 @@ from repro.pipeline import (
     evaluate_plans,
     simulate_online,
     simulate_plan,
+    simulate_plan_reference,
 )
 from repro.plan import InfeasibleError, uniform_plan
 from repro.simgpu.roofline import layer_occupancy
@@ -140,10 +141,8 @@ def test_spot_pricing_lowers_cost(case13b):
 
 def test_energy_bit_identical_across_backends(case13b):
     plan, cluster, spec, wl = case13b
-    ev = simulate_plan(plan, cluster, spec, wl,
-                       check_memory=False, sim_backend="event")
-    fa = simulate_plan(plan, cluster, spec, wl,
-                       check_memory=False, sim_backend="fast")
+    ev = simulate_plan_reference(plan, cluster, spec, wl, check_memory=False)
+    fa = simulate_plan(plan, cluster, spec, wl, check_memory=False)
     (ba,) = evaluate_plans(
         [PlanCase(plan, cluster, spec, wl)], check_memory=False
     )

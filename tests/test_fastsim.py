@@ -1,9 +1,11 @@
 """Differential tests: the closed-form fast simulator vs the event loop.
 
-The fast path claims *bit-exact* equality with the discrete-event oracle
-(not approximate agreement), so every assertion here is ``==`` on raw
-floats.  ``PipelineSimResult.sim_backend`` is excluded from dataclass
-equality precisely so whole results can be compared directly.
+``simulate_plan`` takes the fast path whenever it is exact and claims
+*bit-exact* equality with the discrete-event oracle
+``simulate_plan_reference`` (not approximate agreement), so every
+assertion here is ``==`` on raw floats.  ``PipelineSimResult.sim_backend``
+is excluded from dataclass equality precisely so whole results can be
+compared directly.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from hypothesis import strategies as st
 
 from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
+from repro import Session
 from repro.pipeline import (
-    SIM_BACKENDS,
-    fast_eligible_variable,
+    fast_eligibility_variable,
     simulate_plan,
-    simulate_plan_variable,
+    simulate_plan_reference,
     trace_plan,
 )
 from repro.plan import uniform_plan
@@ -76,9 +78,17 @@ def test_fast_equals_event_grid(
     wl = BatchWorkload(
         batch=batch, prompt_len=prompt, output_len=out, chunk_tokens=chunk
     )
-    ev = simulate_plan(plan, cluster, spec, wl, sim_backend="event")
-    fa = simulate_plan(plan, cluster, spec, wl, sim_backend="fast")
+    ev = simulate_plan_reference(plan, cluster, spec, wl)
+    fa = simulate_plan(plan, cluster, spec, wl)
     _assert_identical(ev, fa)
+    # A variable batch whose requests all generate ``out`` tokens is the
+    # uniform batch: the reference engine retires nobody early and makes
+    # the same submissions, so it matches field for field.
+    vwl = VariableBatchWorkload(
+        prompt_len=prompt, output_lens=(out,) * batch, chunk_tokens=chunk
+    )
+    assert simulate_plan_reference(plan, cluster, spec, vwl) == ev
+    assert simulate_plan(plan, cluster, spec, vwl) == ev
 
 
 def test_single_stage_cluster(opt13b):
@@ -87,8 +97,8 @@ def test_single_stage_cluster(opt13b):
         opt13b.name, opt13b.num_layers, groups_of(cluster), 4, 4, 4
     )
     wl = BatchWorkload(batch=8, prompt_len=256, output_len=32)
-    ev = simulate_plan(plan, cluster, opt13b, wl, sim_backend="event")
-    fa = simulate_plan(plan, cluster, opt13b, wl, sim_backend="fast")
+    ev = simulate_plan_reference(plan, cluster, opt13b, wl)
+    fa = simulate_plan(plan, cluster, opt13b, wl)
     _assert_identical(ev, fa)
 
 
@@ -98,9 +108,8 @@ def test_single_token_output(small_cluster, opt13b):
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
     wl = BatchWorkload(batch=8, prompt_len=256, output_len=1)
-    ev = simulate_plan(plan, cluster := small_cluster, opt13b, wl,
-                       sim_backend="event")
-    fa = simulate_plan(plan, cluster, opt13b, wl, sim_backend="fast")
+    ev = simulate_plan_reference(plan, small_cluster, opt13b, wl)
+    fa = simulate_plan(plan, small_cluster, opt13b, wl)
     assert fa.decode_span_s == 0.0
     _assert_identical(ev, fa)
 
@@ -110,12 +119,9 @@ def test_oom_parity(small_cluster, opt30b, small_workload):
     plan = uniform_plan(
         opt30b.name, opt30b.num_layers, groups_of(small_cluster), 16, 4, 4
     )
-    for backend in ("event", "fast"):
+    for simulate in (simulate_plan_reference, simulate_plan):
         with pytest.raises(OutOfMemoryError):
-            simulate_plan(
-                plan, small_cluster, opt30b, small_workload,
-                sim_backend=backend,
-            )
+            simulate(plan, small_cluster, opt30b, small_workload)
 
 
 def test_auto_dispatch(small_cluster, opt13b, small_workload):
@@ -124,26 +130,30 @@ def test_auto_dispatch(small_cluster, opt13b, small_workload):
     )
     auto = simulate_plan(plan, small_cluster, opt13b, small_workload)
     assert auto.sim_backend == "fast"
-    ev = simulate_plan(
-        plan, small_cluster, opt13b, small_workload, sim_backend="event"
-    )
+    assert auto.backend_reason is None
+    ev = simulate_plan_reference(plan, small_cluster, opt13b, small_workload)
+    assert ev.sim_backend == "event"
     assert auto == ev
 
 
 def test_unknown_backend_rejected(small_cluster, opt13b, small_workload):
+    """The offline layer has no backend knob: asking for one is a
+    TypeError, not a silently ignored option."""
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
-    assert SIM_BACKENDS == ("event", "fast", "auto")
-    with pytest.raises(ValueError, match="sim_backend"):
+    with pytest.raises(TypeError, match="sim_backend"):
         simulate_plan(
-            plan, small_cluster, opt13b, small_workload, sim_backend="vroom"
+            plan, small_cluster, opt13b, small_workload, sim_backend="event"
         )
+    sess = Session(opt13b, small_cluster)
+    with pytest.raises(TypeError, match="sim_backend"):
+        sess.simulate(plan, small_workload, sim_backend="event")
 
 
 def test_trace_plan_still_records_jobs(small_cluster, opt13b, small_workload):
-    """Per-job timelines need real servers: trace_plan pins the event
-    engine even though auto-dispatch would pick the fast path."""
+    """Per-job timelines need real servers: trace_plan runs the event
+    engine even though simulate_plan would pick the fast path."""
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
@@ -159,13 +169,9 @@ def test_variable_fixed_size_exact(small_cluster, opt13b):
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
     wl = VariableBatchWorkload(prompt_len=256, output_lens=(24,) * 8)
-    assert fast_eligible_variable(wl)
-    ev = simulate_plan_variable(
-        plan, small_cluster, opt13b, wl, sim_backend="event"
-    )
-    fa = simulate_plan_variable(
-        plan, small_cluster, opt13b, wl, sim_backend="fast"
-    )
+    assert fast_eligibility_variable(wl) is None
+    ev = simulate_plan_reference(plan, small_cluster, opt13b, wl)
+    fa = simulate_plan(plan, small_cluster, opt13b, wl)
     _assert_identical(ev, fa)
     assert fa.total_tokens == wl.total_output_tokens
 
@@ -177,13 +183,12 @@ def test_variable_retiring_uses_event(small_cluster, opt13b):
     wl = VariableBatchWorkload(
         prompt_len=256, output_lens=(8, 16, 24, 32, 8, 16, 24, 32)
     )
-    assert not fast_eligible_variable(wl)
-    auto = simulate_plan_variable(plan, small_cluster, opt13b, wl)
+    reason = fast_eligibility_variable(wl)
+    assert reason is not None
+    auto = simulate_plan(plan, small_cluster, opt13b, wl)
     assert auto.sim_backend == "event"
-    with pytest.raises(ValueError, match="uniform output lengths"):
-        simulate_plan_variable(
-            plan, small_cluster, opt13b, wl, sim_backend="fast"
-        )
+    assert auto.backend_reason == reason
+    assert auto == simulate_plan_reference(plan, small_cluster, opt13b, wl)
 
 
 # -- property: random shapes stay exact ---------------------------------
@@ -214,12 +219,12 @@ def test_fast_equals_event_property(
         batch=batch, prompt_len=prompt, output_len=out, chunk_tokens=chunk
     )
     try:
-        ev = simulate_plan(plan, cluster, spec, wl, sim_backend="event")
+        ev = simulate_plan_reference(plan, cluster, spec, wl)
     except OutOfMemoryError:
         with pytest.raises(OutOfMemoryError):
-            simulate_plan(plan, cluster, spec, wl, sim_backend="fast")
+            simulate_plan(plan, cluster, spec, wl)
         return
-    fa = simulate_plan(plan, cluster, spec, wl, sim_backend="fast")
+    fa = simulate_plan(plan, cluster, spec, wl)
     assert ev.makespan_s == fa.makespan_s
     assert ev.throughput_tokens_s == fa.throughput_tokens_s
     assert ev.bubble_fraction == fa.bubble_fraction

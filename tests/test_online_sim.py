@@ -22,7 +22,7 @@ from repro.pipeline import (
     OnlineConfig,
     OnlineSimResult,
     simulate_online,
-    simulate_plan,
+    simulate_plan_reference,
 )
 from repro.plan import uniform_plan
 from repro.serialization import (
@@ -94,7 +94,7 @@ def test_online_equals_offline_grid(
     cluster, spec, plan, wl = _setup(
         idx, model, bits, batch, prompt, out, chunk, mb_pre, mb_dec
     )
-    offline = simulate_plan(plan, cluster, spec, wl, sim_backend="event")
+    offline = simulate_plan_reference(plan, cluster, spec, wl)
     online = simulate_online(
         plan, cluster, spec, closed_batch_trace(wl),
         config=OnlineConfig(chunk_tokens=chunk, admission="none"),
@@ -116,7 +116,7 @@ def test_degenerate_event_count_matches_offline(cluster5, opt13b):
     )
     wl = BatchWorkload(batch=8, prompt_len=256, output_len=16,
                        chunk_tokens=512)
-    offline = simulate_plan(plan, cluster5, opt13b, wl, sim_backend="event")
+    offline = simulate_plan_reference(plan, cluster5, opt13b, wl)
     online = simulate_online(
         plan, cluster5, opt13b, closed_batch_trace(wl),
         config=OnlineConfig(chunk_tokens=512, admission="none"),
@@ -194,8 +194,7 @@ def test_oom_parity_with_offline(small_cluster, opt30b, small_workload):
         opt30b.name, opt30b.num_layers, groups_of(small_cluster), 16, 4, 4
     )
     with pytest.raises(OutOfMemoryError):
-        simulate_plan(plan, small_cluster, opt30b, small_workload,
-                      sim_backend="event")
+        simulate_plan_reference(plan, small_cluster, opt30b, small_workload)
     with pytest.raises(OutOfMemoryError):
         simulate_online(
             plan, small_cluster, opt30b, closed_batch_trace(small_workload),
@@ -336,20 +335,20 @@ def test_session_serve_online_facade(small_cluster):
     sess = Session("opt-13b", small_cluster)
     wl = BatchWorkload(batch=4, prompt_len=256, output_len=8,
                        chunk_tokens=512)
-    sess.plan(wl)
-    res = sess.serve_online(
-        closed_batch_trace(wl),
-        config=OnlineConfig(chunk_tokens=512, admission="none"),
-        sim_backend="event",
+    plan = sess.plan(wl).plan
+    config = OnlineConfig(chunk_tokens=512, admission="none")
+    res = simulate_online(
+        plan, small_cluster, sess.spec, closed_batch_trace(wl),
+        config=config, sim_backend="event",
     )
-    assert isinstance(res, Summary)
-    sim = sess.simulate(sim_backend="event")
+    sim = simulate_plan_reference(plan, small_cluster, sess.spec, wl)
     _assert_identical(sim, res)
-    # The default (auto) backend dispatches to the fast driver and must
-    # agree with the event run on every compared field.
-    fast = sess.serve_online(
-        closed_batch_trace(wl),
-        config=OnlineConfig(chunk_tokens=512, admission="none"),
-    )
+    # The facade dispatches to the fast drivers, which must agree with
+    # the event runs on every compared field.
+    fast = sess.serve_online(closed_batch_trace(wl), config=config)
+    assert isinstance(fast, Summary)
     assert fast.sim_backend == "fast"
     assert fast == res
+    offline = sess.simulate()
+    assert offline.sim_backend == "fast"
+    assert offline == sim

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline import simulate_plan, simulate_plan_variable
+from repro.pipeline import simulate_plan
 from repro.plan import uniform_plan
 from repro.workloads import BatchWorkload, VariableBatchWorkload
 
@@ -56,7 +56,7 @@ def test_variable_simulation_basic(small_cluster, opt13b, vworkload):
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
-    res = simulate_plan_variable(plan, small_cluster, opt13b, vworkload)
+    res = simulate_plan(plan, small_cluster, opt13b, vworkload)
     assert res.total_tokens == vworkload.total_output_tokens
     assert res.makespan_s > 0
     assert res.throughput_tokens_s > 0
@@ -67,7 +67,7 @@ def test_variable_cheaper_than_uniform_max(small_cluster, opt13b, vworkload):
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
-    var = simulate_plan_variable(plan, small_cluster, opt13b, vworkload)
+    var = simulate_plan(plan, small_cluster, opt13b, vworkload)
     mx = simulate_plan(
         plan, small_cluster, opt13b, vworkload.planning_view("max")
     )
@@ -80,13 +80,13 @@ def test_uniform_lengths_match_uniform_simulator(small_cluster, opt13b):
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
-    var = simulate_plan_variable(plan, small_cluster, opt13b, vwl)
+    var = simulate_plan(plan, small_cluster, opt13b, vwl)
     uni = simulate_plan(
         plan, small_cluster, opt13b,
         BatchWorkload(batch=8, prompt_len=256, output_len=32),
     )
     assert var.total_tokens == uni.total_tokens
-    assert var.makespan_s == pytest.approx(uni.makespan_s, rel=0.02)
+    assert var == uni
 
 
 def test_single_step_requests(small_cluster, opt13b):
@@ -95,7 +95,7 @@ def test_single_step_requests(small_cluster, opt13b):
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
-    res = simulate_plan_variable(plan, small_cluster, opt13b, vwl)
+    res = simulate_plan(plan, small_cluster, opt13b, vwl)
     assert res.decode_span_s == 0.0
     assert res.total_tokens == 4
 
@@ -108,7 +108,7 @@ def test_memory_checked_at_max_context(small_cluster, opt30b):
         opt30b.name, opt30b.num_layers, groups_of(small_cluster), 16, 2, 2
     )
     with pytest.raises(OutOfMemoryError):
-        simulate_plan_variable(plan, small_cluster, opt30b, vwl)
+        simulate_plan(plan, small_cluster, opt30b, vwl)
 
 
 def test_describe(vworkload):
