@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -22,15 +23,9 @@ class PlannerConfig:
     #: Planning tier: ``"exact"`` runs the enumerating candidate search
     #: (MILP or hill-climb per candidate), ``"dp"`` the scalable
     #: DP-over-contiguous-segments planner, ``"auto"`` routes by instance
-    #: size (exact up to ``auto_exact_max_devices`` GPUs, DP beyond).
+    #: size (exact up to :data:`repro.core.dp.AUTO_EXACT_MAX_DEVICES`
+    #: GPUs, DP beyond).
     tier: str = "auto"
-    #: Largest cluster (device count) ``tier="auto"`` still plans exactly.
-    auto_exact_max_devices: int = 8
-    #: Stage-count prefixes the DP tier tries per ordering (ranked by the
-    #: flow relaxation); higher explores more pipeline depths.
-    dp_prefix_candidates: int = 3
-    #: Hill-climb polish iterations after the segment DP (0 disables).
-    dp_polish_iters: int = 40
     theta: float = 10.0
     quality_budget: Optional[float] = None
     group_size: int = 2
@@ -69,13 +64,6 @@ class PlannerConfig:
     #: ``objective="energy"``, a $/Mtoken ceiling under
     #: ``objective="cost"``; ignored for ``"throughput"``.
     budget: Optional[float] = None
-    #: Skip candidates whose admissible lower bound proves they cannot
-    #: enter the verified top-k.  Never changes the chosen plan.
-    prune: bool = True
-    #: Lower-bound family for pruning: "auto" picks "lp" (exact-MILP LP
-    #: relaxation) for the ILP backend and "analytic" (MCKP + structural
-    #: bounds) for the heuristic; "none" disables bounding entirely.
-    bound: str = "auto"
     seed: int = 0
 
     def __post_init__(self):
@@ -83,29 +71,27 @@ class PlannerConfig:
             raise ValueError("need at least one bitwidth choice")
         if sorted(self.bit_choices) != list(self.bit_choices):
             raise ValueError("bit_choices must be sorted ascending")
-        if self.theta < 0:
-            raise ValueError("theta must be non-negative")
+        # NaN passes ``x < 0`` and ``x <= 0``, so test finiteness explicitly.
+        _check_finite("theta", self.theta, allow_zero=True)
+        if self.quality_budget is not None:
+            _check_finite("quality_budget", self.quality_budget, allow_zero=True)
+        _check_finite("time_limit_s", self.time_limit_s, allow_zero=False)
+        if self.budget is not None:
+            _check_finite("budget", self.budget, allow_zero=False)
         if self.group_size <= 0:
             raise ValueError("group_size must be positive")
-        if self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
         if self.parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        if self.bound not in ("auto", "lp", "analytic", "none"):
-            raise ValueError(
-                "bound must be one of 'auto', 'lp', 'analytic', 'none'"
-            )
         if self.tier not in ("auto", "exact", "dp"):
             raise ValueError("tier must be one of 'auto', 'exact', 'dp'")
         if self.objective not in ("throughput", "energy", "cost"):
             raise ValueError(
                 "objective must be one of 'throughput', 'energy', 'cost'"
             )
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive when set")
-        if self.auto_exact_max_devices <= 0:
-            raise ValueError("auto_exact_max_devices must be positive")
-        if self.dp_prefix_candidates <= 0:
-            raise ValueError("dp_prefix_candidates must be positive")
-        if self.dp_polish_iters < 0:
-            raise ValueError("dp_polish_iters must be non-negative")
+
+
+def _check_finite(name: str, value: float, *, allow_zero: bool) -> None:
+    ok = math.isfinite(value) and (value >= 0 if allow_zero else value > 0)
+    if not ok:
+        sign = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")

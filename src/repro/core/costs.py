@@ -15,11 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..costmodel.latency import LatencyCostModel
-from ..costmodel.memory import (
-    MemoryCostModel,
-    activation_workspace_bytes,
-    embedding_memory_bytes,
-)
+from ..costmodel.memory import MemoryCostModel, stage_resident_bytes
 from ..hardware.cluster import ClusterSpec, Device
 from ..hardware.gpus import GPUSpec
 from ..hardware.interconnect import LinkSpec
@@ -340,11 +336,14 @@ def build_problem(
     const_pre[-1] += roofline.lm_head_time(ordering[-1].gpu, spec, eta)
     const_dec[-1] += roofline.lm_head_time(ordering[-1].gpu, spec, xi)
 
-    ws = activation_workspace_bytes(spec, eta, min(chunk, workload.context_len))
-    capacity = invariants.cap_base - ws
-    capacity[0] -= embedding_memory_bytes(spec, eta)
-    if n_stages > 1:
-        capacity[-1] -= spec.lm_head_elements * L.FP16_BYTES
+    # Integer byte counts stay exact in float64 (all far below 2**53).
+    ws_chunk = min(chunk, workload.context_len)
+    capacity = invariants.cap_base - np.array(
+        [
+            float(stage_resident_bytes(spec, j, n_stages, eta, ws_chunk))
+            for j in range(n_stages)
+        ]
+    )
 
     comm_pre = np.zeros(max(n_stages - 1, 0))
     comm_dec = np.zeros(max(n_stages - 1, 0))

@@ -65,11 +65,21 @@ from .ilp import ILPSolution
 from .search import CandidateStat, SearchStats, analytic_lower_bound
 
 __all__ = [
+    "AUTO_EXACT_MAX_DEVICES",
     "DPOutcome",
     "dp_search",
     "flow_relaxed_span",
     "segment_partition",
 ]
+
+#: Largest cluster (device count) ``tier="auto"`` still plans exactly;
+#: every paper cluster and fleet group stays on the exact tier.
+AUTO_EXACT_MAX_DEVICES = 8
+#: Pipeline depths per ordering the segment DP solves (best by the flow
+#: relaxation, plus the full prefix).
+DP_PREFIX_CANDIDATES = 3
+#: Hill-climb polish iterations after the segment DP.
+DP_POLISH_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,7 @@ def _prefix_depths(
 
     Depths shallower than the min-bits capacity floor are skipped; the
     survivors are scored with :func:`flow_relaxed_span` and the best
-    ``config.dp_prefix_candidates`` (always including ``max_depth``) are
+    :data:`DP_PREFIX_CANDIDATES` (always including ``max_depth``) are
     solved exactly by the segment DP.
     """
     min_bits = min(config.bit_choices)
@@ -190,7 +200,7 @@ def _prefix_depths(
         )
         scored.append((span, n))
     scored.sort()
-    depths = {n for _, n in scored[: config.dp_prefix_candidates]}
+    depths = {n for _, n in scored[:DP_PREFIX_CANDIDATES]}
     depths.add(max_depth)  # the full prefix is always a candidate
     return sorted(depths)
 
@@ -324,17 +334,16 @@ def solve_segment_dp(
         solve_time_s=0.0,
         status="dp",
     )
-    if config.dp_polish_iters > 0:
-        polished = bitwidth_transfer(
-            problem,
-            theta=theta,
-            quality_budget=quality_budget,
-            time_limit_s=config.time_limit_s,
-            max_iters=config.dp_polish_iters,
-            start=sol,
-        )
-        if polished is not None:
-            sol = replace(polished, status="dp")
+    polished = bitwidth_transfer(
+        problem,
+        theta=theta,
+        quality_budget=quality_budget,
+        time_limit_s=config.time_limit_s,
+        max_iters=DP_POLISH_ITERS,
+        start=sol,
+    )
+    if polished is not None:
+        sol = replace(polished, status="dp")
     return sol
 
 
@@ -359,7 +368,7 @@ def dp_search(
     cfg = config
     theta = 0.0 if cfg.quality_budget is not None else cfg.theta
     n_layer_groups = len(group_layers(spec.num_layers, cfg.group_size))
-    small = len(cluster.devices) <= cfg.auto_exact_max_devices
+    small = len(cluster.devices) <= AUTO_EXACT_MAX_DEVICES
     if small:
         orderings = candidate_orderings(
             cluster, enable_tp=cfg.enable_tp, max_orderings=cfg.max_orderings

@@ -19,18 +19,18 @@ import numpy as np
 from ..costmodel.latency import LatencyCostModel
 from ..costmodel.memory import (
     MemoryCostModel,
-    activation_workspace_bytes,
-    embedding_memory_bytes,
+    stage_capacity_bytes,
+    stage_resident_bytes,
 )
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..models import layers as _L
 from ..obs import metrics, trace
 from ..plan import ExecutionPlan, InfeasibleError, StagePlan, degrade_plan
 from ..quant.sensitivity import normalized_indicator_table
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
 from .costs import PlanningProblem, StageGroup, build_problem
+from .dp import AUTO_EXACT_MAX_DEVICES, dp_search
 from .enumeration import candidate_orderings, microbatch_candidates
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution, solve_adabits, solve_partition_ilp
@@ -128,19 +128,13 @@ def _degrade_execution_plan(
         raise InfeasibleError(
             f"no surviving stage groups (survivors={sorted(surviving)})"
         )
-    overhead = activation_workspace_bytes(
-        spec, plan.prefill_microbatch, min(workload.chunk_len, workload.context_len)
-    )
+    chunk = min(workload.chunk_len, workload.context_len)
+    caps = stage_capacity_bytes(cluster, [g.device_ids for g in groups])
     capacity: Dict[int, int] = {}
-    for g_idx, g in enumerate(groups):
-        group_cap = sum(by_id[d].gpu.usable_mem_bytes for d in g.device_ids)
-        group_cap -= overhead
-        if g_idx == 0:
-            group_cap -= embedding_memory_bytes(
-                spec, plan.prefill_microbatch
-            )
-        if g_idx == len(groups) - 1 and len(groups) > 1:
-            group_cap -= spec.lm_head_elements * _L.FP16_BYTES
+    for g_idx, (g, cap) in enumerate(zip(groups, caps)):
+        group_cap = cap - stage_resident_bytes(
+            spec, g_idx, len(groups), plan.prefill_microbatch, chunk
+        )
         # Spread the group's effective capacity over its devices so
         # degrade_plan's per-group sums reproduce it.
         per_dev, rem = divmod(max(group_cap, 0), len(g.device_ids))
@@ -434,8 +428,9 @@ class SplitQuantPlanner:
         """Resolve a requested tier to a concrete one, with a reason.
 
         ``None`` defers to ``config.tier``; ``"auto"`` routes by instance
-        size: the exact tier up to ``config.auto_exact_max_devices``
-        devices, the scalable DP tier beyond.
+        size: the exact tier up to
+        :data:`~repro.core.dp.AUTO_EXACT_MAX_DEVICES` devices, the
+        scalable DP tier beyond.
         """
         requested = tier if tier is not None else self.config.tier
         if requested not in ("auto", "exact", "dp"):
@@ -446,7 +441,7 @@ class SplitQuantPlanner:
         if requested != "auto":
             return requested, "requested"
         n = len(self.cluster.devices)
-        limit = self.config.auto_exact_max_devices
+        limit = AUTO_EXACT_MAX_DEVICES
         if n <= limit:
             return "exact", f"auto: {n} devices <= {limit}"
         return "dp", f"auto: {n} devices > {limit}"
@@ -531,8 +526,6 @@ class SplitQuantPlanner:
         budget: Optional[float] = None,
     ) -> Optional[PlannerResult]:
         """The scalable tier: segment DP + flow relaxation, no MILP."""
-        from .dp import dp_search
-
         t0 = time.perf_counter()
         with trace.span(
             "planner.plan_dp",

@@ -479,32 +479,26 @@ class CandidateSearchEngine:
         cfg = self.config
         t0 = time.perf_counter()
         theta_eff = 0.0 if cfg.quality_budget is not None else cfg.theta
-        bound_mode = cfg.bound
-        if bound_mode == "auto":
-            bound_mode = "analytic" if cfg.use_heuristic else "lp"
-        prune = cfg.prune and bound_mode != "none"
+        # The exact-MILP backend also tightens bounds with the LP
+        # relaxation; the heuristic relies on analytic bounds alone.
+        use_lp = not cfg.use_heuristic
 
         with trace.span("search.enumerate") as sp:
             candidates, groups = self._enumerate(workload)
             sp.set(candidates=len(candidates))
         bound_time = 0.0
         lp_bounds = 0
-        if prune:
-            tb = time.perf_counter()
-            with trace.span("search.bounds", candidates=len(candidates)):
-                for cand in candidates:
-                    cand.bound = analytic_lower_bound(
-                        cand.problem, theta_eff, cfg.quality_budget
-                    )
-            bound_time += time.perf_counter() - tb
+        tb = time.perf_counter()
+        with trace.span("search.bounds", candidates=len(candidates)):
+            for cand in candidates:
+                cand.bound = analytic_lower_bound(
+                    cand.problem, theta_eff, cfg.quality_budget
+                )
+        bound_time += time.perf_counter() - tb
 
         # Best-bound-first tightens the incumbent early; enumeration order
         # breaks ties so serial replay is reproducible.
-        order = (
-            sorted(candidates, key=lambda c: (c.bound, c.index))
-            if prune
-            else list(candidates)
-        )
+        order = sorted(candidates, key=lambda c: (c.bound, c.index))
 
         # The incumbent threshold is the k-th best *known* score per
         # candidate: solves record their exact final score, and the bulk
@@ -524,8 +518,6 @@ class CandidateSearchEngine:
 
         def try_prune(cand: _Candidate) -> bool:
             nonlocal bound_time, lp_bounds
-            if not prune:
-                return False
             if cand.bound == float("inf"):
                 return True  # provably infeasible
             thr = threshold()
@@ -534,7 +526,7 @@ class CandidateSearchEngine:
             slack = _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * abs(thr)
             if cand.bound > thr + slack:
                 return True
-            if bound_mode == "lp":
+            if use_lp:
                 if cand.lp_bound is None:
                     tb = time.perf_counter()
                     lp = solve_partition_lp_relaxation(
@@ -570,7 +562,7 @@ class CandidateSearchEngine:
         seeded = 0
         batches_run = 0
         frontier_scored = 0
-        if prune and cfg.use_heuristic and candidates:
+        if cfg.use_heuristic and candidates:
             tb = time.perf_counter()
             batches_run = 1
             frontier_scored = len(order)

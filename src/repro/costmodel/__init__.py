@@ -24,6 +24,8 @@ from .memory import (
     activation_workspace_bytes,
     embedding_memory_bytes,
     layer_memory_bytes,
+    stage_capacity_bytes,
+    stage_resident_bytes,
 )
 
 __all__ = [
@@ -46,4 +48,6 @@ __all__ = [
     "activation_workspace_bytes",
     "embedding_memory_bytes",
     "layer_memory_bytes",
+    "stage_capacity_bytes",
+    "stage_resident_bytes",
 ]

@@ -9,8 +9,9 @@ additionally holds the FP16 embeddings/LM head (``M_emb``, constraint 13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
+from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..models import layers as L
 
@@ -48,6 +49,39 @@ def embedding_memory_bytes(spec: ModelSpec, microbatch: int = 1) -> int:
     """``M_emb``: embeddings, LM head, and the logits workspace."""
     logits_ws = microbatch * spec.vocab_size * L.FP16_BYTES
     return L.embedding_bytes(spec) + logits_ws
+
+
+def stage_resident_bytes(
+    spec: ModelSpec,
+    stage: int,
+    n_stages: int,
+    microbatch: int,
+    chunk_tokens: int,
+) -> int:
+    """Bytes stage ``stage`` of ``n_stages`` keeps besides its layers.
+
+    Every stage holds the activation workspace of one prefill chunk;
+    stage 0 adds ``M_emb`` (embeddings + logits workspace), and the last
+    stage, when it is not stage 0, the FP16 LM head (master
+    postprocessing placement).
+    """
+    b = activation_workspace_bytes(spec, microbatch, chunk_tokens)
+    if stage == 0:
+        b += embedding_memory_bytes(spec, microbatch)
+    if stage == n_stages - 1 and stage != 0:
+        b += spec.lm_head_elements * L.FP16_BYTES
+    return b
+
+
+def stage_capacity_bytes(
+    cluster: ClusterSpec, stage_device_ids: Sequence[Sequence[int]]
+) -> Tuple[int, ...]:
+    """Usable bytes per stage; a TP stage pools its devices' memory."""
+    by_id = {d.device_id: d for d in cluster.devices}
+    return tuple(
+        sum(by_id[d].gpu.usable_mem_bytes for d in ids)
+        for ids in stage_device_ids
+    )
 
 
 @dataclass(frozen=True)

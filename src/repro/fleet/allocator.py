@@ -20,10 +20,11 @@ Three layers:
 * :class:`BeamAllocator` — beam search with lookahead: partial
   assignment states are scored by the fleet makespan a deterministic
   list scheduler predicts (so grabbing a big fast group that starves
-  later jobs is visible *before* committing), keeping the best ``width``
-  states per job.  Greedy is the ``width=1, top_groups=1`` corner of the
-  same search, so beam can only match or beat it on aggregate
-  throughput for the objective it scores.
+  later jobs is visible *before* committing), keeping the best
+  :data:`BEAM_WIDTH` states per job.  Every job's expansions include
+  greedy's pick, and the full greedy allocation competes as a final
+  state, so beam can only match or beat greedy on aggregate throughput
+  for the objective it scores.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +48,8 @@ from .jobs import FleetJob
 
 __all__ = [
     "Assignment",
+    "BEAM_TOP_GROUPS",
+    "BEAM_WIDTH",
     "BeamAllocator",
     "GreedyAllocator",
     "GroupSpec",
@@ -55,6 +58,12 @@ __all__ = [
     "group_rate_usd_hr",
     "list_schedule",
 ]
+
+#: Partial allocations the beam keeps per job.
+BEAM_WIDTH = 4
+#: Fastest feasible groups each job expands into (the frugal, greedy and
+#: cost picks are added on top).
+BEAM_TOP_GROUPS = 3
 
 
 def group_rate_usd_hr(group: "GroupSpec", price_book: PriceBook) -> float:
@@ -137,18 +146,12 @@ class Assignment:
     ``None`` means the canonical :meth:`GroupSpec.to_cluster`
     materialization (degraded assignments keep their reduced cluster so
     original device numbering survives a reclaimed GPU).
-
-    ``sim_makespan_s`` is an optional simulated per-batch makespan from
-    the batched pipeline evaluator (:meth:`PlannerPool.score_assignments`);
-    when present, :attr:`lookahead_duration_s` uses it instead of the
-    analytic cost-model prediction.
     """
 
     job: FleetJob
     group: GroupSpec
     result: PlannerResult
     cluster: Optional[ClusterSpec] = None
-    sim_makespan_s: Optional[float] = None
 
     def materialize_cluster(self, cross_node_link: str) -> ClusterSpec:
         if self.cluster is not None:
@@ -166,13 +169,6 @@ class Assignment:
     def duration_s(self) -> float:
         """Predicted runtime of the whole job on its group."""
         return self.job.num_batches * self.batch_makespan_s
-
-    @property
-    def lookahead_duration_s(self) -> float:
-        """Job runtime using the simulated batch makespan when available."""
-        if self.sim_makespan_s is not None:
-            return self.job.num_batches * self.sim_makespan_s
-        return self.duration_s
 
     @property
     def tokens_s(self) -> float:
@@ -513,36 +509,23 @@ class PlannerPool:
     def evaluate_many(
         self,
         pairs: Sequence[Tuple[FleetJob, GroupSpec]],
-        attach_sim: bool = False,
     ) -> List[Optional[Assignment]]:
         """Evaluate candidate (job, group) pairs, possibly in parallel.
 
         Results come back in submission order regardless of completion
         order, so allocator decisions are deterministic for any
-        ``parallelism``.  With ``attach_sim`` the feasible assignments
-        are additionally scored through one batched pipeline-simulator
-        sweep and returned with :attr:`Assignment.sim_makespan_s` set.
+        ``parallelism``.
         """
         if self.parallelism == 1 or len(pairs) <= 1:
-            results = [self.evaluate(j, g) for j, g in pairs]
-        else:
-            # Warm the shared memos serially first: cost-model fits and
-            # indicator tables are racy to build twice and cheap to prime.
-            for model in {j.model for j, _ in pairs}:
-                self._cost_model(model)
-                self._omega(model)
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                futures = [
-                    pool.submit(self.evaluate, j, g) for j, g in pairs
-                ]
-                results = [f.result() for f in futures]
-        if attach_sim:
-            feas = [i for i, a in enumerate(results) if a is not None]
-            scores = self.score_assignments([results[i] for i in feas])
-            for i, score in zip(feas, scores):
-                if score is not None:
-                    results[i] = replace(results[i], sim_makespan_s=score)
-        return results
+            return [self.evaluate(j, g) for j, g in pairs]
+        # Warm the shared memos serially first: cost-model fits and
+        # indicator tables are racy to build twice and cheap to prime.
+        for model in {j.model for j, _ in pairs}:
+            self._cost_model(model)
+            self._omega(model)
+        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
+            futures = [pool.submit(self.evaluate, j, g) for j, g in pairs]
+            return [f.result() for f in futures]
 
     def _sim_key(self, assignment: Assignment) -> tuple:
         wl = assignment.job.workload
@@ -563,8 +546,8 @@ class PlannerPool:
 
         Every uncached assignment's plan is stacked into a single
         :func:`repro.pipeline.batchsim.evaluate_plans` call; results are
-        memoized alongside the plan memo so beam probes that revisit a
-        (job, group) pair are free.  ``None`` marks an assignment the
+        memoized alongside the plan memo so repeated scoring of a
+        (job, group) pair is free.  ``None`` marks an assignment the
         batched evaluator could not score (the caller keeps the analytic
         duration).
         """
@@ -629,21 +612,14 @@ class _BeamState:
         """
         if not self.assignments:
             return (0.0, 0.0) if price_book is None else (0.0, 0.0, 0.0)
-        if any(a.sim_makespan_s is not None for a in self.assignments):
-            _, _, makespan = list_schedule(
-                self.assignments,
-                inventory,
-                durations=[a.lookahead_duration_s for a in self.assignments],
-            )
-        else:
-            _, _, makespan = list_schedule(self.assignments, inventory)
+        _, _, makespan = list_schedule(self.assignments, inventory)
         total_tokens = sum(a.job.total_output_tokens for a in self.assignments)
         agg = total_tokens / makespan if makespan > 0 else 0.0
         if price_book is None:
             return (makespan, -agg)
         usd = sum(
             group_rate_usd_hr(a.group, price_book)
-            * (a.lookahead_duration_s / 3600.0)
+            * (a.duration_s / 3600.0)
             for a in self.assignments
         )
         return (makespan, usd, -agg)
@@ -661,8 +637,6 @@ class GreedyAllocator:
 
     def __init__(
         self,
-        max_gpus: int = 4,
-        max_types: int = 2,
         objective: str = "throughput",
         price_book: Optional[PriceBook] = None,
     ) -> None:
@@ -671,8 +645,6 @@ class GreedyAllocator:
                 f"unknown allocator objective {objective!r} "
                 "(expected 'throughput' or 'cost')"
             )
-        self.max_gpus = max_gpus
-        self.max_types = max_types
         self.objective = objective
         self.price_book = (
             default_price_book() if price_book is None else price_book
@@ -696,9 +668,7 @@ class GreedyAllocator:
         self, jobs: Sequence[FleetJob], pool: PlannerPool
     ) -> List[Assignment]:
         inventory = dict(pool.inventory)
-        groups = enumerate_groups(
-            pool.inventory, max_gpus=self.max_gpus, max_types=self.max_types
-        )
+        groups = enumerate_groups(pool.inventory)
         out: List[Assignment] = []
         free = dict(inventory)
         for job in sorted(jobs, key=FleetJob.sort_key):
@@ -731,28 +701,14 @@ class BeamAllocator:
 
     def __init__(
         self,
-        width: int = 4,
-        top_groups: int = 3,
-        max_gpus: int = 4,
-        max_types: int = 2,
-        sim_lookahead: bool = False,
         objective: str = "throughput",
         price_book: Optional[PriceBook] = None,
     ) -> None:
-        if width <= 0 or top_groups <= 0:
-            raise ValueError("width and top_groups must be positive")
         if objective not in ("throughput", "cost"):
             raise ValueError(
                 f"unknown allocator objective {objective!r} "
                 "(expected 'throughput' or 'cost')"
             )
-        self.width = width
-        self.top_groups = top_groups
-        self.max_gpus = max_gpus
-        self.max_types = max_types
-        #: Score beam states with simulated (batched fastsim) batch
-        #: makespans instead of the analytic cost-model prediction.
-        self.sim_lookahead = sim_lookahead
         #: ``"cost"`` makes beam states tie-break on allocated rental
         #: dollars and seeds the beam with the cheapest-per-token group.
         self.objective = objective
@@ -768,16 +724,14 @@ class BeamAllocator:
         self, job: FleetJob, pool: PlannerPool, groups: Sequence[GroupSpec]
     ) -> List[Assignment]:
         """The job's candidate assignments: top-k by tokens/s + frugal."""
-        evaluated = pool.evaluate_many(
-            [(job, g) for g in groups], attach_sim=self.sim_lookahead
-        )
+        evaluated = pool.evaluate_many([(job, g) for g in groups])
         feasible = [a for a in evaluated if a is not None]
         if not feasible:
             return []
         by_speed = sorted(
             feasible, key=lambda a: (-a.tokens_s, a.group.total, a.group.counts)
         )
-        picks = by_speed[: self.top_groups]
+        picks = by_speed[:BEAM_TOP_GROUPS]
         # Always include the most GPU-frugal feasible group so lookahead
         # can trade per-job speed for fleet-level packing.
         frugal = min(
@@ -807,9 +761,7 @@ class BeamAllocator:
         self, jobs: Sequence[FleetJob], pool: PlannerPool
     ) -> List[Assignment]:
         inventory = dict(pool.inventory)
-        groups = enumerate_groups(
-            pool.inventory, max_gpus=self.max_gpus, max_types=self.max_types
-        )
+        groups = enumerate_groups(pool.inventory)
         beam = [_BeamState()]
         for job in sorted(jobs, key=FleetJob.sort_key):
             picks = self._expansions(job, pool, groups)
@@ -824,24 +776,15 @@ class BeamAllocator:
                          len(nxt), cand)
                     )
             nxt.sort(key=lambda t: (t[0], t[1]))
-            beam = [s for _, _, s in nxt[: self.width]]
+            beam = [s for _, _, s in nxt[:BEAM_WIDTH]]
             if trace.enabled:
                 metrics.counter("fleet.alloc.beam_expansions").inc(len(nxt))
         # Never regress the baseline: the greedy allocation (evaluated
         # from the same memoized pool, so nearly free) competes as one
         # more final state under the beam's own objective.
         greedy_assignments = GreedyAllocator(
-            max_gpus=self.max_gpus,
-            max_types=self.max_types,
-            objective=self.objective,
-            price_book=self.price_book,
+            objective=self.objective, price_book=self.price_book
         ).allocate(jobs, pool)
-        if self.sim_lookahead and greedy_assignments:
-            scores = pool.score_assignments(greedy_assignments)
-            greedy_assignments = [
-                a if s is None else replace(a, sim_makespan_s=s)
-                for a, s in zip(greedy_assignments, scores)
-            ]
         greedy_state = _BeamState(assignments=greedy_assignments)
         finalists = beam + [greedy_state]
         best = min(

@@ -22,6 +22,7 @@ the pipeline simulators use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,8 +52,12 @@ class JobArrival:
     arrival_s: float
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
+        # NaN passes ``x < 0``, so test finiteness explicitly.
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
+            raise ValueError(
+                f"arrival_s must be finite and non-negative, "
+                f"got {self.arrival_s!r}"
+            )
 
 
 def make_job_arrivals(
@@ -67,8 +72,11 @@ def make_job_arrivals(
     (same seed), arrival gaps from an exponential of the given mean; the
     first job arrives at t=0 so the fleet is never trivially idle.
     """
-    if mean_interarrival_s <= 0:
-        raise ValueError("mean_interarrival_s must be positive")
+    if not (math.isfinite(mean_interarrival_s) and mean_interarrival_s > 0):
+        raise ValueError(
+            f"mean_interarrival_s must be finite and positive, "
+            f"got {mean_interarrival_s!r}"
+        )
     jobs = make_job_queue(n_jobs=n_jobs, seed=seed, **job_kwargs)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_interarrival_s, size=len(jobs))
@@ -223,8 +231,6 @@ class OnlineFleetScheduler:
         config: Optional[PlannerConfig] = None,
         cross_node_link: str = "eth-800g",
         parallelism: int = 1,
-        max_gpus: int = 4,
-        max_types: int = 2,
         index_queue: bool = True,
     ) -> None:
         if config is None:
@@ -239,12 +245,8 @@ class OnlineFleetScheduler:
             cross_node_link=cross_node_link,
             parallelism=parallelism,
         )
-        self.max_gpus = max_gpus
-        self.max_types = max_types
         self.index_queue = index_queue
-        self._all_groups = enumerate_groups(
-            self.inventory, max_gpus=max_gpus, max_types=max_types
-        )
+        self._all_groups = enumerate_groups(self.inventory)
         #: Waiting jobs as (job, arrival time), FIFO by arrival.
         self.queue: List[Tuple[FleetJob, float]] = []
         #: Admissibility index: per waiting job, its planner-feasible
@@ -351,25 +353,23 @@ def simulate_online_fleet(
     config: Optional[PlannerConfig] = None,
     cross_node_link: str = "eth-800g",
     parallelism: int = 1,
-    use_sim_durations: bool = True,
     index_queue: bool = True,
-    prewarm: Optional[bool] = None,
 ) -> OnlineFleetResult:
     """Replay an arrival stream of fleet jobs through the online scheduler.
 
     Job durations come from the batched pipeline simulator
-    (:meth:`PlannerPool.score_assignments`) when ``use_sim_durations``
-    is set — the same measured per-batch makespans the offline
+    (:meth:`PlannerPool.score_assignments`) — the same measured
+    per-batch makespans the offline
     :func:`~repro.fleet.simulator.simulate_schedule` composes — falling
     back to the planner's analytic prediction where scoring declines.
 
     ``index_queue`` keeps a per-job admissibility index so queue drains
     filter cached feasible assignments instead of re-running the planner
-    scan; decisions are identical either way.  ``prewarm`` (default: on
-    when ``parallelism > 1``) evaluates every (job, fitting-group) pair
-    across the planner pool's workers *before* the serial replay, so the
-    replay itself only hits memoized results — the reduction stays in
-    arrival order and the outcome is bit-identical to a cold run.
+    scan; decisions are identical either way.  With ``parallelism > 1``
+    every (job, fitting-group) pair is evaluated across the planner
+    pool's workers *before* the serial replay, so the replay itself only
+    hits memoized results — the reduction stays in arrival order and the
+    outcome is bit-identical to a cold run.
     """
     if not arrivals:
         raise ValueError("arrival stream is empty")
@@ -389,7 +389,7 @@ def simulate_online_fleet(
     ) as sp:
         result = _simulate_online_fleet(
             inventory, stream, config, cross_node_link, parallelism,
-            use_sim_durations, index_queue, prewarm,
+            index_queue,
         )
         sp.set(
             served=len(result.jobs),
@@ -409,9 +409,7 @@ def _simulate_online_fleet(
     config: Optional[PlannerConfig],
     cross_node_link: str,
     parallelism: int,
-    use_sim_durations: bool,
     index_queue: bool,
-    prewarm: Optional[bool],
 ) -> OnlineFleetResult:
     sched = OnlineFleetScheduler(
         inventory,
@@ -420,9 +418,7 @@ def _simulate_online_fleet(
         parallelism=parallelism,
         index_queue=index_queue,
     )
-    if prewarm is None:
-        prewarm = parallelism > 1
-    if prewarm:
+    if parallelism > 1:
         # Evaluate the whole (job, fitting-group) grid upfront: with a
         # parallel pool the pairs fan out across workers, and the serial
         # replay below only hits memoized results.  Evaluation order
@@ -435,19 +431,15 @@ def _simulate_online_fleet(
             if g.fits(sched.inventory)
         ]
         evaluated = sched.pool.evaluate_many(pairs)
-        if use_sim_durations:
-            sched.pool.score_assignments(
-                [a for a in evaluated if a is not None]
-            )
+        sched.pool.score_assignments([a for a in evaluated if a is not None])
     loop = EventLoop()
     records: List[OnlineJobRecord] = []
     dropped: List[str] = []
 
     def duration_of(assignment: Assignment) -> float:
-        if use_sim_durations:
-            score = sched.pool.score_assignments([assignment])[0]
-            if score is not None:
-                return assignment.job.num_batches * score
+        score = sched.pool.score_assignments([assignment])[0]
+        if score is not None:
+            return assignment.job.num_batches * score
         return assignment.duration_s
 
     def start(job: FleetJob, arrival: float, assignment: Assignment,

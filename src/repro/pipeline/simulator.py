@@ -34,10 +34,13 @@ from typing import (
 
 import numpy as np
 
-from ..costmodel.memory import MemoryCostModel
-from ..hardware.cluster import ClusterSpec, Device
+from ..costmodel.memory import (
+    MemoryCostModel,
+    stage_capacity_bytes,
+    stage_resident_bytes,
+)
+from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..models import layers as L
 from ..obs import DEFAULT_FRACTION_BUCKETS, metrics, trace
 from ..plan import ExecutionPlan
 from ..simgpu.memory import OutOfMemoryError
@@ -169,19 +172,19 @@ def check_plan_memory(
         # configured cap (keep consistent with the planner's capacity).
         chunk_tokens=workload.chunk_len,
     )
-    by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
+    capacities = stage_capacity_bytes(
+        cluster, [st.device_ids for st in plan.stages]
+    )
     usages: List[int] = []
-    for j, st in enumerate(plan.stages):
-        capacity = sum(by_id[d].gpu.usable_mem_bytes for d in st.device_ids)
-        need = mem_model.stage_bytes(
-            st.layer_bits,
-            microbatch=plan.prefill_microbatch,
-            with_embeddings=(j == 0),
+    for j, (st, capacity) in enumerate(zip(plan.stages, capacities)):
+        need = sum(mem_model.layer_bytes(b) for b in st.layer_bits)
+        need += stage_resident_bytes(
+            spec,
+            j,
+            len(plan.stages),
+            plan.prefill_microbatch,
+            min(workload.chunk_len, workload.context_len),
         )
-        if j == len(plan.stages) - 1 and j != 0:
-            # LM head weights live with the last stage when it differs
-            # from the first (master postprocessing placement).
-            need += spec.lm_head_elements * L.FP16_BYTES
         if need > capacity:
             raise OutOfMemoryError(
                 f"stage{j}({st.gpu_name})", need, capacity

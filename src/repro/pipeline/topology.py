@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..costmodel.memory import stage_capacity_bytes
 from ..hardware.cluster import ClusterSpec, Device
 from ..models.architectures import ModelSpec
 from ..models import layers as L
@@ -181,10 +182,6 @@ class PipelineTopology:
 
     def stage_capacities(self) -> Tuple[int, ...]:
         """Usable bytes per stage (TP groups pool their devices)."""
-        by_id: Dict[int, Device] = {
-            d.device_id: d for d in self.cluster.devices
-        }
-        return tuple(
-            sum(by_id[d].gpu.usable_mem_bytes for d in st.device_ids)
-            for st in self.plan.stages
+        return stage_capacity_bytes(
+            self.cluster, [st.device_ids for st in self.plan.stages]
         )

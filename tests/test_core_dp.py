@@ -50,12 +50,6 @@ def test_auto_routes_small_to_exact_and_large_to_dp():
 def test_config_tier_validation():
     with pytest.raises(ValueError, match="tier"):
         PlannerConfig(tier="fast")
-    with pytest.raises(ValueError):
-        PlannerConfig(auto_exact_max_devices=0)
-    with pytest.raises(ValueError):
-        PlannerConfig(dp_prefix_candidates=0)
-    with pytest.raises(ValueError):
-        PlannerConfig(dp_polish_iters=-1)
 
 
 def test_result_provenance_fields():

@@ -7,6 +7,7 @@ from repro.costmodel import (
     activation_workspace_bytes,
     embedding_memory_bytes,
     layer_memory_bytes,
+    stage_resident_bytes,
 )
 from repro.models import kv_cache_bytes, weight_storage_bytes
 
@@ -31,6 +32,19 @@ def test_kv_dominates_at_large_batch_small_bits(opt13b):
 def test_negative_inputs_rejected(opt13b):
     with pytest.raises(ValueError):
         layer_memory_bytes(opt13b, 4, batch=-1, context=100)
+
+
+def test_stage_resident_bytes_placement(opt13b):
+    """Workspace everywhere, M_emb on stage 0, LM head on a distinct last
+    stage only."""
+    from repro.models.layers import FP16_BYTES
+
+    ws = activation_workspace_bytes(opt13b, 4, 512)
+    emb = embedding_memory_bytes(opt13b, 4)
+    head = opt13b.lm_head_elements * FP16_BYTES
+    got = [stage_resident_bytes(opt13b, j, 3, 4, 512) for j in range(3)]
+    assert got == [ws + emb, ws, ws + head]
+    assert stage_resident_bytes(opt13b, 0, 1, 4, 512) == ws + emb
 
 
 def test_activation_workspace_scales(opt13b):

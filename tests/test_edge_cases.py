@@ -220,6 +220,112 @@ def test_online_config_accepts_finite_bounds():
         OnlineConfig(horizon_s=-1e-9)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("theta", NAN),
+        ("theta", INF),
+        ("time_limit_s", NAN),
+        ("budget", NAN),
+        ("quality_budget", NAN),
+        ("quality_budget", -1.0),
+    ],
+)
+def test_planner_config_rejects_non_finite(field, value):
+    """NaN passes ``x < 0`` / ``x <= 0`` and would poison every score the
+    planner compares; non-finite or negative values must fail naming
+    the field."""
+    from repro.core import PlannerConfig
+
+    with pytest.raises(ValueError, match=field):
+        PlannerConfig(**{field: value})
+
+
+def test_planner_config_accepts_finite_edges():
+    from repro.core import PlannerConfig
+
+    assert PlannerConfig(theta=0.0, quality_budget=0.0).theta == 0.0
+    with pytest.raises(ValueError, match="time_limit_s"):
+        PlannerConfig(time_limit_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("arrival_s", NAN), ("mean_interarrival_s", NAN)]
+)
+def test_job_arrivals_reject_non_finite(field, value):
+    """A NaN arrival time would sort arbitrarily and stall the replay."""
+    from repro.fleet import JobArrival, make_job_arrivals
+    from repro.fleet.jobs import make_job_queue
+
+    with pytest.raises(ValueError, match=field):
+        if field == "arrival_s":
+            JobArrival(job=make_job_queue(n_jobs=1)[0], arrival_s=value)
+        else:
+            make_job_arrivals(n_jobs=2, mean_interarrival_s=value)
+
+
+def _removed_keyword_calls():
+    from repro.core import PlannerConfig
+    from repro.fleet import (
+        Assignment,
+        BeamAllocator,
+        GreedyAllocator,
+        OnlineFleetScheduler,
+        PlannerPool,
+        simulate_online_fleet,
+    )
+
+    inv = {"T4-16G": 1}
+    return {
+        "PlannerConfig": lambda **kw: PlannerConfig(**kw),
+        "BeamAllocator": lambda **kw: BeamAllocator(**kw),
+        "GreedyAllocator": lambda **kw: GreedyAllocator(**kw),
+        "OnlineFleetScheduler": lambda **kw: OnlineFleetScheduler(inv, **kw),
+        "simulate_online_fleet": lambda **kw: simulate_online_fleet(
+            inv, [], **kw
+        ),
+        "PlannerPool.evaluate_many": lambda **kw: PlannerPool(
+            inv
+        ).evaluate_many([], **kw),
+        "Assignment": lambda **kw: Assignment(
+            job=None, group=None, result=None, **kw
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "target, keyword, value",
+    [
+        ("PlannerConfig", "prune", False),
+        ("PlannerConfig", "bound", "lp"),
+        ("PlannerConfig", "auto_exact_max_devices", 8),
+        ("PlannerConfig", "dp_prefix_candidates", 3),
+        ("PlannerConfig", "dp_polish_iters", 40),
+        ("BeamAllocator", "width", 4),
+        ("BeamAllocator", "top_groups", 3),
+        ("BeamAllocator", "max_gpus", 4),
+        ("BeamAllocator", "max_types", 2),
+        ("BeamAllocator", "sim_lookahead", True),
+        ("GreedyAllocator", "max_gpus", 4),
+        ("GreedyAllocator", "max_types", 2),
+        ("OnlineFleetScheduler", "max_gpus", 4),
+        ("OnlineFleetScheduler", "max_types", 2),
+        ("simulate_online_fleet", "use_sim_durations", False),
+        ("simulate_online_fleet", "prewarm", True),
+        ("PlannerPool.evaluate_many", "attach_sim", True),
+        ("Assignment", "sim_makespan_s", 1.0),
+    ],
+)
+def test_removed_keywords_raise_type_error(target, keyword, value):
+    """Planner and fleet options with a single used value are constants
+    now; passing one is a caller error, not a silent no-op."""
+    with pytest.raises(TypeError, match=keyword):
+        _removed_keyword_calls()[target](**{keyword: value})
+
+
 BAD_TIMES = [float("nan"), float("inf"), -float("inf"), -5.0]
 
 

@@ -174,10 +174,34 @@ def test_parallel_prewarm_invariance():
     arrivals = make_job_arrivals(n_jobs=5, seed=2,
                                  mean_interarrival_s=45.0)
     serial = simulate_online_fleet(INVENTORY, arrivals, parallelism=1)
-    warm = simulate_online_fleet(INVENTORY, arrivals, parallelism=1,
-                                 prewarm=True)
     par = simulate_online_fleet(INVENTORY, arrivals, parallelism=2)
-    assert warm == serial
     assert par == serial
-    assert warm.events_processed == serial.events_processed
     assert par.events_processed == serial.events_processed
+
+
+def test_job_durations_come_from_the_simulator():
+    """Every served job runs for ``num_batches`` simulated per-batch
+    makespans of its assignment's plan, not the planner's analytic
+    prediction."""
+    from repro.fleet import GroupSpec
+    from repro.models import get_model
+    from repro.pipeline import simulate_plan
+
+    arrivals = make_job_arrivals(n_jobs=4, seed=0,
+                                 mean_interarrival_s=60.0)
+    res = simulate_online_fleet(INVENTORY, arrivals)
+    assert res.jobs
+    jobs = {ja.job.job_id: ja.job for ja in arrivals}
+    pool = OnlineFleetScheduler(INVENTORY).pool
+    for rec in res.jobs:
+        job = jobs[rec.job_id]
+        a = pool.evaluate(job, GroupSpec(counts=rec.group_counts))
+        sim = simulate_plan(
+            a.result.plan,
+            a.materialize_cluster(pool.cross_node_link),
+            get_model(job.model),
+            job.workload,
+        )
+        expected = job.num_batches * sim.makespan_s
+        assert rec.end_s - rec.start_s == pytest.approx(expected, rel=1e-12)
+        assert expected != pytest.approx(a.duration_s, rel=1e-6)
