@@ -92,26 +92,53 @@ class _State:
         self.apply(problem, undo)
 
 
+@dataclass(frozen=True)
+class _ObjectiveTerms:
+    """The parts of the objective that do not change during one solve."""
+
+    mem_limit: np.ndarray  # capacity plus the feasibility tolerance
+    comm_pre_max: float
+    comm_dec_max: float
+    comm_pre_sum: float
+    comm_dec_sum: float
+    prefill_tail: int  # prefill jobs after the first
+    decode_steps: int  # decode steps after the first token
+    mu_dec: int
+
+    @classmethod
+    def of(cls, problem: PlanningProblem) -> "_ObjectiveTerms":
+        pre, dec = problem.comm_pre, problem.comm_dec
+        return cls(
+            mem_limit=problem.capacity + 1e-6,
+            comm_pre_max=float(pre.max()) if pre.size else 0.0,
+            comm_dec_max=float(dec.max()) if dec.size else 0.0,
+            comm_pre_sum=pre.sum(),
+            comm_dec_sum=dec.sum(),
+            prefill_tail=problem.prefill_jobs - 1,
+            decode_steps=problem.workload.output_len - 1,
+            mu_dec=problem.mu_dec,
+        )
+
+
 def _objective_from_aggregates(
-    problem: PlanningProblem,
+    terms: _ObjectiveTerms,
     state: _State,
     theta: float,
     quality_budget: Optional[float],
 ) -> float:
     if quality_budget is not None and state.quality > quality_budget + 1e-12:
         return float("inf")
-    if np.any(state.mem > problem.capacity + 1e-6):
+    if np.any(state.mem > terms.mem_limit):
         return float("inf")
-    n = problem.workload.output_len
-    comm_pre_max = float(problem.comm_pre.max()) if problem.comm_pre.size else 0.0
-    comm_dec_max = float(problem.comm_dec.max()) if problem.comm_dec.size else 0.0
-    pre_bottleneck = max(float(state.t_pre.max()), comm_pre_max)
-    prefill_span = float(state.t_pre.sum() + problem.comm_pre.sum()) + (
-        problem.prefill_jobs - 1
-    ) * pre_bottleneck
-    dec_bottleneck = max(float(state.t_dec.max()), comm_dec_max)
-    round_trip = float(state.t_dec.sum() + problem.comm_dec.sum())
-    decode_span = (n - 1) * max(problem.mu_dec * dec_bottleneck, round_trip)
+    pre_bottleneck = max(float(state.t_pre.max()), terms.comm_pre_max)
+    prefill_span = float(state.t_pre.sum() + terms.comm_pre_sum) + (
+        terms.prefill_tail * pre_bottleneck
+    )
+    dec_bottleneck = max(float(state.t_dec.max()), terms.comm_dec_max)
+    round_trip = float(state.t_dec.sum() + terms.comm_dec_sum)
+    decode_span = terms.decode_steps * max(
+        terms.mu_dec * dec_bottleneck, round_trip
+    )
     return prefill_span + decode_span + theta * state.quality
 
 
@@ -287,8 +314,9 @@ def bitwidth_transfer(
         )
     if start is None:
         return None
+    terms = _ObjectiveTerms.of(problem)
     state = make_state(start)
-    best = _objective_from_aggregates(problem, state, theta, quality_budget)
+    best = _objective_from_aggregates(terms, state, theta, quality_budget)
     if not np.isfinite(best):
         # A reused warm start may violate this subproblem's constraints;
         # fall back to a fresh greedy (then exact) adabits solve.
@@ -300,7 +328,7 @@ def bitwidth_transfer(
         if start is None:
             return None
         state = make_state(start)
-        best = _objective_from_aggregates(problem, state, theta, quality_budget)
+        best = _objective_from_aggregates(terms, state, theta, quality_budget)
         if not np.isfinite(best):
             return None
 
@@ -311,7 +339,7 @@ def bitwidth_transfer(
             saved = [(state.stage[g], state.kidx[g]) for g, _, _ in changes]
             state.apply(problem, changes)
             val = _objective_from_aggregates(
-                problem, state, theta, quality_budget
+                terms, state, theta, quality_budget
             )
             state.revert(problem, changes, saved)
             if val < best_val - 1e-9:

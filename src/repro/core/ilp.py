@@ -14,15 +14,16 @@ the same memory/contiguity constraints.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
+from scipy.sparse import csc_array
 
 from ..obs import metrics, trace
 from .costs import PlanningProblem
@@ -84,13 +85,88 @@ class ILPSolution:
     status: str
 
 
-def _var_layout(problem: PlanningProblem) -> Tuple[int, int, int, int]:
-    nz = problem.n_groups * problem.n_stages * problem.n_bits
-    return nz, nz, nz + 1, nz + 2  # n_z, idx T_pre_max, T_dec_max, D
+#: The fixed slots that head the coefficient source and the row
+#: upper-bound source; the problem's tensors follow (see _build_milp).
+_ONE, _MINUS_ONE, _SPAN_MU = range(3)
+_U_ONE, _U_ZERO, _U_INF, _U_SPAN, _U_BUDGET = range(5)
 
 
-def _zidx(problem: PlanningProblem, g: int, j: int, k: int) -> int:
-    return (g * problem.n_stages + j) * problem.n_bits + k
+class _Pattern(NamedTuple):
+    """One MILP shape's structure, in the CSC order HiGHS reads."""
+
+    source: np.ndarray  # per nonzero: index into the coefficient source
+    indices: np.ndarray  # per nonzero: row (int32)
+    indptr: np.ndarray  # column pointers (int32)
+    b_l: np.ndarray  # row lower bounds
+    upper: np.ndarray  # per row: index into the upper-bound source
+
+
+@functools.lru_cache(maxsize=256)
+def _sparsity_pattern(
+    G: int, N: int, K: int, latency_objective: bool, budgeted: bool
+) -> _Pattern:
+    """Where the nonzeros of constraints (5)-(16) sit, for one shape.
+
+    Column ``(g * N + j) * K + k`` is ``z[g, j, k]``; then come
+    ``T_pre_max``, ``T_dec_max`` and the decode span ``D``.  Row blocks,
+    in order: assignment (9)-(11); prefill (5), decode (6) and decode
+    span (latency objective only); memory (12)-(13); contiguity
+    (15)-(16); non-empty stages; quality budget (when budgeted).  The
+    arrays are read-only, so concurrent solves share one pattern.
+    """
+    nz = G * N * K
+    i_pre, i_dec, i_d = nz, nz + 1, nz + 2
+    z = np.arange(nz)
+    g_of, j_of, k_of = np.unravel_index(z, (G, N, K))
+    gk, stages = g_of * K + k_of, np.arange(N)
+    s_pre, s_dec, s_span, s_mem, s_omega = 3 + np.cumsum([0, nz, nz, nz, G * K])
+    u_pre, u_dec, u_cap = 5, 5 + N, 5 + 2 * N
+    rows, cols, sources, b_l, upper = [], [], [], [], []
+
+    def block(lb, ub, *entries):
+        # ``ub`` holds one upper-bound source index per row; each entry
+        # is (row within the block, column, coefficient source index).
+        row0 = sum(u.size for u in upper)
+        for r, c, s in entries:
+            r, c, s = (np.ravel(a) for a in np.broadcast_arrays(r, c, s))
+            rows.append(row0 + r)
+            cols.append(c)
+            sources.append(s)
+        upper.append(np.asarray(ub))
+        b_l.append(np.full(upper[-1].size, lb))
+
+    block(1.0, np.full(G, _U_ONE), (g_of, z, _ONE))
+    if latency_objective:
+        block(-np.inf, u_pre + stages,
+              (j_of, z, s_pre + z), (stages, i_pre, _MINUS_ONE))
+        block(-np.inf, u_dec + stages,
+              (j_of, z, s_dec + z), (stages, i_dec, _MINUS_ONE))
+        block(-np.inf, [_U_ZERO, _U_SPAN],
+              (0, i_dec, _SPAN_MU), (0, i_d, _MINUS_ONE),
+              (1, z, s_span + z), (1, i_d, _MINUS_ONE))
+    block(-np.inf, u_cap + stages, (j_of, z, s_mem + gk))
+    # Row (g, j): stages 0..j hold no less of group g than of group g+1.
+    g, j, jj, k = np.indices((G - 1, N - 1, N - 1, K)).reshape(4, -1)
+    r, c = (g * (N - 1) + j)[jj <= j], ((g * N + jj) * K + k)[jj <= j]
+    block(0.0, np.full((G - 1) * (N - 1), _U_INF),
+          (r, c, _ONE), (r, c + N * K, _MINUS_ONE))
+    if N > 1:
+        block(1.0, np.full(N, _U_INF), (j_of, z, _ONE))
+    if budgeted:
+        block(-np.inf, [_U_BUDGET], (0, z, s_omega + gk))
+
+    rows_a, cols_a = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((rows_a, cols_a))
+    pattern = _Pattern(
+        source=np.concatenate(sources)[order],
+        indices=rows_a[order].astype(np.int32),
+        indptr=np.searchsorted(cols_a[order], np.arange(nz + 4)).astype(np.int32),
+        b_l=np.concatenate(b_l),
+        upper=np.concatenate(upper),
+    )
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
 
 
 def _build_milp(
@@ -98,137 +174,66 @@ def _build_milp(
     theta: float,
     quality_budget: Optional[float],
     latency_objective: bool = True,
-) -> Tuple[np.ndarray, List[LinearConstraint], np.ndarray, Bounds]:
+) -> Tuple[np.ndarray, LinearConstraint, np.ndarray, Bounds]:
     """Assemble objective (4) + constraints (5)-(16) for one subproblem.
 
     Shared between the exact branch-and-bound solve and the LP relaxation
     the search engine uses as an admissible pruning bound — both must see
-    bit-identical matrices for the bound to be sound.
+    bit-identical matrices for the bound to be sound.  Only coefficients
+    and right-hand sides are computed here; zero coefficients are dropped.
     """
     G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
     n = problem.workload.output_len
-    nz, i_pre, i_dec, i_d = _var_layout(problem)
-    nvars = nz + 3
+    nz = G * N * K
+    pattern = _sparsity_pattern(
+        G, N, K, latency_objective, quality_budget is not None
+    )
 
-    c = np.zeros(nvars)
-    for g in range(G):
-        for j in range(N):
-            for k in range(K):
-                idx = _zidx(problem, g, j, k)
-                if latency_objective:
-                    c[idx] = problem.l_pre[g, j, k] + theta * problem.omega[g, k]
-                else:
-                    # Tiny latency tie-breaker: the quality-only problem has
-                    # a large plateau of symmetric optima that stalls
-                    # branch-and-bound; epsilon-perturbing with layer costs
-                    # breaks the symmetry without changing the quality
-                    # optimum materially.
-                    c[idx] = problem.omega[g, k] + 1e-4 * (
-                        problem.l_pre[g, j, k] + problem.l_dec[g, j, k]
-                    )
+    c = np.zeros(nz + 3)
     if latency_objective:
-        c[i_pre] = max(problem.prefill_jobs - 1, 0)
-        c[i_d] = 1.0
+        c[:nz] = (problem.l_pre + theta * problem.omega[:, None, :]).ravel()
+        c[nz], c[nz + 2] = max(problem.prefill_jobs - 1, 0), 1.0
+    else:
+        # Tiny latency tie-breaker: the quality-only problem has a large
+        # plateau of symmetric optima that stalls branch-and-bound;
+        # epsilon-perturbing with layer costs breaks the symmetry without
+        # changing the quality optimum materially.
+        c[:nz] = (
+            problem.omega[:, None, :] + 1e-4 * (problem.l_pre + problem.l_dec)
+        ).ravel()
 
-    constraints: List[LinearConstraint] = []
+    coef = np.concatenate((
+        [1.0, -1.0, (n - 1) * problem.mu_dec],
+        problem.l_pre.ravel(), problem.l_dec.ravel(),
+        ((n - 1) * problem.l_dec).ravel(),
+        problem.mem.ravel(), problem.omega.ravel(),
+    ))
+    span = -(n - 1) * (
+        float(problem.const_dec.sum()) + float(problem.comm_dec.sum())
+    )
+    budget = np.inf if quality_budget is None else quality_budget
+    bound = np.concatenate((
+        [1.0, 0.0, np.inf, span, budget],
+        -problem.const_pre, -problem.const_dec, problem.capacity,
+    ))
+    data = coef[pattern.source]
+    nonzero = data != 0
+    kept = np.concatenate(([0], np.cumsum(nonzero)))  # nonzeros before each
+    a = csc_array(
+        (data[nonzero], pattern.indices[nonzero],
+         kept[pattern.indptr].astype(np.int32)),
+        shape=(pattern.b_l.size, nz + 3),
+    )
+    constraint = LinearConstraint(a, pattern.b_l, bound[pattern.upper])
 
-    # (9)-(11): each group gets exactly one (stage, bitwidth).
-    a_assign = lil_matrix((G, nvars))
-    for g in range(G):
-        for j in range(N):
-            for k in range(K):
-                a_assign[g, _zidx(problem, g, j, k)] = 1.0
-    constraints.append(LinearConstraint(a_assign.tocsr(), 1.0, 1.0))
-
-    if latency_objective:
-        # (5): T_pre_max >= per-stage prefill time (incl. constants).
-        a = lil_matrix((N, nvars))
-        ub = np.zeros(N)
-        for j in range(N):
-            for g in range(G):
-                for k in range(K):
-                    a[j, _zidx(problem, g, j, k)] = problem.l_pre[g, j, k]
-            a[j, i_pre] = -1.0
-            ub[j] = -problem.const_pre[j]
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, ub))
-
-        # (6): T_dec_max >= per-stage decode time.
-        a = lil_matrix((N, nvars))
-        ub = np.zeros(N)
-        for j in range(N):
-            for g in range(G):
-                for k in range(K):
-                    a[j, _zidx(problem, g, j, k)] = problem.l_dec[g, j, k]
-            a[j, i_dec] = -1.0
-            ub[j] = -problem.const_dec[j]
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, ub))
-
-        # Decode span D >= bottleneck bound and >= round-trip bound.
-        a = lil_matrix((2, nvars))
-        ub = np.zeros(2)
-        a[0, i_dec] = (n - 1) * problem.mu_dec
-        a[0, i_d] = -1.0
-        ub[0] = 0.0
-        for g in range(G):
-            for j in range(N):
-                for k in range(K):
-                    a[1, _zidx(problem, g, j, k)] = (n - 1) * problem.l_dec[
-                        g, j, k
-                    ]
-        a[1, i_d] = -1.0
-        ub[1] = -(n - 1) * (
-            float(problem.const_dec.sum()) + float(problem.comm_dec.sum())
-        )
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, ub))
-
-    # (12)-(13): per-stage memory.
-    a = lil_matrix((N, nvars))
-    for j in range(N):
-        for g in range(G):
-            for k in range(K):
-                a[j, _zidx(problem, g, j, k)] = problem.mem[g, k]
-    constraints.append(LinearConstraint(a.tocsr(), -np.inf, problem.capacity))
-
-    # (15)-(16): contiguity — cumulative stage mass is non-increasing in g.
-    if N > 1 and G > 1:
-        a = lil_matrix(((G - 1) * (N - 1), nvars))
-        row = 0
-        for g in range(G - 1):
-            for j in range(N - 1):
-                for jj in range(j + 1):
-                    for k in range(K):
-                        a[row, _zidx(problem, g, jj, k)] = 1.0
-                        a[row, _zidx(problem, g + 1, jj, k)] = -1.0
-                row += 1
-        constraints.append(LinearConstraint(a.tocsr(), 0.0, np.inf))
-
-    # Every stage holds at least one group (no empty pipeline stages).
-    if N > 1:
-        a = lil_matrix((N, nvars))
-        for j in range(N):
-            for g in range(G):
-                for k in range(K):
-                    a[j, _zidx(problem, g, j, k)] = 1.0
-        constraints.append(LinearConstraint(a.tocsr(), 1.0, np.inf))
-
-    # Optional hard quality budget (Sec. VI-C mode).
-    if quality_budget is not None:
-        a = lil_matrix((1, nvars))
-        for g in range(G):
-            for j in range(N):
-                for k in range(K):
-                    a[0, _zidx(problem, g, j, k)] = problem.omega[g, k]
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, quality_budget))
-
-    integrality = np.zeros(nvars)
+    integrality = np.zeros(nz + 3)
     integrality[:nz] = 1
-    lb = np.zeros(nvars)
-    ub_v = np.full(nvars, np.inf)
-    ub_v[:nz] = 1.0
+    lb, ub = np.zeros(nz + 3), np.full(nz + 3, np.inf)
+    ub[:nz] = 1.0
     if problem.comm_pre.size:
-        lb[i_pre] = float(problem.comm_pre.max())
-        lb[i_dec] = float(problem.comm_dec.max())
-    return c, constraints, integrality, Bounds(lb, ub_v)
+        lb[nz] = float(problem.comm_pre.max())
+        lb[nz + 1] = float(problem.comm_dec.max())
+    return c, constraint, integrality, Bounds(lb, ub)
 
 
 def solve_partition_ilp(
@@ -245,8 +250,7 @@ def solve_partition_ilp(
     """
     t0 = time.perf_counter()
     G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
-    nz, _, _, _ = _var_layout(problem)
-    c, constraints, integrality, bounds = _build_milp(
+    c, constraint, integrality, bounds = _build_milp(
         problem, theta, quality_budget, latency_objective
     )
 
@@ -261,7 +265,7 @@ def solve_partition_ilp(
         with _silenced_stdout():
             res = milp(
                 c,
-                constraints=constraints,
+                constraints=constraint,
                 integrality=integrality,
                 bounds=bounds,
                 options={"time_limit": time_limit_s, "mip_rel_gap": 1e-4},
@@ -276,13 +280,10 @@ def solve_partition_ilp(
     if res.x is None:
         return None
 
-    z = res.x[:nz].reshape(G, N, K)
-    assign_stage: List[int] = []
-    assign_bits: List[int] = []
-    for g in range(G):
-        j, k = np.unravel_index(int(np.argmax(z[g])), (N, K))
-        assign_stage.append(int(j))
-        assign_bits.append(int(problem.bit_choices[k]))
+    z = res.x[: G * N * K].reshape(G, N * K)
+    stage, kidx = np.unravel_index(z.argmax(axis=1), (N, K))
+    assign_stage = [int(j) for j in stage]
+    assign_bits = [int(problem.bit_choices[k]) for k in kidx]
     latency = problem.latency_estimate(assign_stage, assign_bits)
     quality = problem.quality_sum(assign_bits)
     return ILPSolution(
@@ -330,7 +331,7 @@ def solve_partition_lp_relaxation(
     be computed (e.g. the LP hit the time limit) — callers must not
     prune on ``None``.
     """
-    c, constraints, integrality, bounds = _build_milp(
+    c, constraint, integrality, bounds = _build_milp(
         problem, theta, quality_budget, latency_objective=True
     )
     with trace.span(
@@ -342,7 +343,7 @@ def solve_partition_lp_relaxation(
         with _silenced_stdout():
             res = milp(
                 c,
-                constraints=constraints,
+                constraints=constraint,
                 integrality=np.zeros_like(integrality),
                 bounds=bounds,
                 options={"time_limit": time_limit_s},

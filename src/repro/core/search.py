@@ -358,6 +358,7 @@ class CandidateSearchEngine:
         self.cost_model_for_kv = cost_model_for_kv
         self.solve_one = solve_one
         self._timings: List[MemoizedTiming] = []
+        self._warm_starts_done = 0
 
     # -- enumeration ---------------------------------------------------
 
@@ -450,7 +451,6 @@ class CandidateSearchEngine:
         with every attempt memoized so each is made exactly once.
         """
         cfg = self.config
-        self._warm_starts_done = getattr(self, "_warm_starts_done", 0)
         for member in group:
             if member.index > cand.index:
                 break

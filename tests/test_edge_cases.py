@@ -356,3 +356,39 @@ def test_fault_spec_rejects_bad_delay(value):
 
     with pytest.raises(ValueError, match="delay_s"):
         FaultSpec("slow", 0, "decode", 2, delay_s=value)
+
+
+_TRACE_ARGS = {
+    "poisson_trace": {"rate_per_s": 2.0, "duration_s": 10.0},
+    "diurnal_trace": {
+        "mean_rate_per_s": 2.0, "duration_s": 10.0, "period_s": 60.0,
+    },
+    "bursty_trace": {
+        "base_rate_per_s": 1.0, "burst_rate_per_s": 5.0, "duration_s": 10.0,
+        "mean_quiet_s": 3.0, "mean_burst_s": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "generator, field",
+    [(gen, field) for gen, args in _TRACE_ARGS.items() for field in args],
+)
+@pytest.mark.parametrize("value", [NAN, INF, -INF, 0.0, -1.0])
+def test_arrival_generators_reject_bad_rates_and_times(generator, field, value):
+    """A NaN rate or horizon passes ``x <= 0``: the diurnal thinning loop
+    then never ends and the bursty loop appends NaN times without end;
+    every rate, duration, period and dwell must fail naming itself."""
+    from repro.workloads import arrivals
+
+    kwargs = {**_TRACE_ARGS[generator], field: value}
+    with pytest.raises(ValueError, match=field):
+        getattr(arrivals, generator)(**kwargs)
+
+
+@pytest.mark.parametrize("generator", sorted(_TRACE_ARGS))
+def test_arrival_generators_accept_finite_positive(generator):
+    from repro.workloads import arrivals
+
+    trace = getattr(arrivals, generator)(**_TRACE_ARGS[generator], seed=3)
+    assert trace.n_requests >= 1
