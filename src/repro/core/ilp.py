@@ -2,9 +2,9 @@
 
 Decision variables ``z[g, j, k]`` place layer group ``g`` on stage ``j``
 at bitwidth ``bit_choices[k]``; continuous epigraph variables model the
-slowest-stage times and the decode-span max.  Solved with HiGHS through
-``scipy.optimize.milp`` (the GUROBI substitute), honoring a wall-clock
-time limit like the paper's 60 s solver budget (Sec. VI-F).
+slowest-stage times and the decode-span max.  Solved with HiGHS (the
+GUROBI substitute) through the bindings scipy bundles, honoring a
+wall-clock time limit like the paper's 60 s solver budget (Sec. VI-F).
 
 The *adabits* variant (pure adaptive quantization, Sec. IV-C / VI-H)
 drops the latency terms and minimizes the quality indicator alone under
@@ -22,8 +22,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # scipy < 1.15 bundles HiGHS without this module
+    raise ImportError(
+        "repro.core.ilp calls HiGHS through scipy.optimize._highspy, "
+        "which needs scipy>=1.15"
+    ) from exc
 
 from ..obs import metrics, trace
 from .costs import PlanningProblem
@@ -169,12 +175,29 @@ def _sparsity_pattern(
     return pattern
 
 
+class _Model(NamedTuple):
+    """One subproblem in the arrays HiGHS reads, in the dtypes scipy's
+    ``milp`` would pass: ``min c @ x  s.t.  b_l <= A @ x <= b_u,
+    lb <= x <= ub`` with ``A`` in CSC form and integer columns marked 1
+    in ``integrality``."""
+
+    c: np.ndarray
+    indptr: np.ndarray  # int32
+    indices: np.ndarray  # int32
+    data: np.ndarray
+    b_l: np.ndarray
+    b_u: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray  # uint8
+
+
 def _build_milp(
     problem: PlanningProblem,
     theta: float,
     quality_budget: Optional[float],
     latency_objective: bool = True,
-) -> Tuple[np.ndarray, LinearConstraint, np.ndarray, Bounds]:
+) -> _Model:
     """Assemble objective (4) + constraints (5)-(16) for one subproblem.
 
     Shared between the exact branch-and-bound solve and the LP relaxation
@@ -219,21 +242,104 @@ def _build_milp(
     data = coef[pattern.source]
     nonzero = data != 0
     kept = np.concatenate(([0], np.cumsum(nonzero)))  # nonzeros before each
-    a = csc_array(
-        (data[nonzero], pattern.indices[nonzero],
-         kept[pattern.indptr].astype(np.int32)),
-        shape=(pattern.b_l.size, nz + 3),
-    )
-    constraint = LinearConstraint(a, pattern.b_l, bound[pattern.upper])
 
-    integrality = np.zeros(nz + 3)
+    integrality = np.zeros(nz + 3, np.uint8)
     integrality[:nz] = 1
     lb, ub = np.zeros(nz + 3), np.full(nz + 3, np.inf)
     ub[:nz] = 1.0
     if problem.comm_pre.size:
         lb[nz] = float(problem.comm_pre.max())
         lb[nz + 1] = float(problem.comm_dec.max())
-    return c, constraint, integrality, Bounds(lb, ub)
+    return _Model(
+        c, kept[pattern.indptr].astype(np.int32), pattern.indices[nonzero],
+        data[nonzero], pattern.b_l, bound[pattern.upper], lb, ub, integrality,
+    )
+
+
+class _Result(NamedTuple):
+    """One HiGHS solve: the status code scipy's ``milp`` would report, and
+    the solution and objective value (both ``None`` when there is none)."""
+
+    status: int
+    x: Optional[np.ndarray]
+    fun: Optional[float]
+
+
+_MS = _highs.HighsModelStatus
+#: HiGHS model status -> the code scipy's ``milp`` reports for it; every
+#: status not listed (kSolutionLimit included) reports 4.
+_SCIPY_STATUS = {
+    _MS.kOptimal: 0,
+    _MS.kTimeLimit: 1,
+    _MS.kIterationLimit: 1,
+    _MS.kInfeasible: 2,
+    _MS.kModelError: 2,
+    _MS.kUnbounded: 3,
+}
+#: Statuses at which a MIP may still hold an incumbent solution.
+_MIP_LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit, _MS.kSolutionLimit)
+#: HiGHS column type per ``integrality`` code: 0 continuous, 1 integer.
+_VAR_TYPES = (_highs.HighsVarType(0), _highs.HighsVarType(1))
+
+
+@functools.lru_cache(maxsize=16)
+def _options(time_limit: float, mip_rel_gap: Optional[float]):
+    """The options scipy's ``milp`` sets.  Shared by every solve
+    and only ever read: ``passOptions`` copies them into the solver."""
+    options = _highs.HighsOptions()
+    options.log_to_console = False
+    options.time_limit = time_limit
+    if mip_rel_gap is not None:
+        options.mip_rel_gap = mip_rel_gap
+    return options
+
+
+def milp(
+    model: _Model, time_limit: float, mip_rel_gap: Optional[float] = None
+) -> _Result:
+    """Solve ``model`` with scipy's bundled HiGHS, as scipy's ``milp``
+    does: the same model, option values and ``passOptions`` / ``passModel``
+    / ``run`` calls, the same status codes and the same rules for when a
+    solution may be read.  Left out are scipy's input validation and the
+    duals, basis and result object nobody here reads.  Each call gets its
+    own solver, so concurrent solves stay independent.
+    """
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = model.b_u.size
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_cost_ = model.c
+    lp.col_lower_ = model.lb
+    lp.col_upper_ = model.ub
+    lp.row_lower_ = model.b_l
+    lp.row_upper_ = model.b_u
+    lp.a_matrix_.start_ = model.indptr
+    lp.a_matrix_.index_ = model.indices
+    lp.a_matrix_.value_ = model.data
+    integrality = model.integrality.tolist()
+    lp.integrality_ = [_VAR_TYPES[i] for i in integrality]
+
+    highs = _highs._Highs()
+    error = _highs.HighsStatus.kError
+    if highs.passOptions(_options(time_limit, mip_rel_gap)) == error:
+        status = highs.getModelStatus()
+    elif highs.passModel(lp) == error:
+        status = _MS.kModelError  # a model that fails to load sets none
+    elif highs.run() == error:
+        status = highs.getModelStatus()
+    else:
+        status = highs.getModelStatus()
+        fun = highs.getInfo().objective_function_value
+        if any(integrality):
+            solved = status == _MS.kOptimal or (
+                status in _MIP_LIMITS and fun != _highs.kHighsInf
+            )
+        else:
+            solved = status == _MS.kOptimal
+        if solved:
+            x = np.array(highs.getSolution().col_value)
+            return _Result(_SCIPY_STATUS.get(status, 4), x, fun)
+    return _Result(_SCIPY_STATUS.get(status, 4), None, None)
 
 
 def solve_partition_ilp(
@@ -250,9 +356,7 @@ def solve_partition_ilp(
     """
     t0 = time.perf_counter()
     G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
-    c, constraint, integrality, bounds = _build_milp(
-        problem, theta, quality_budget, latency_objective
-    )
+    model = _build_milp(problem, theta, quality_budget, latency_objective)
 
     with trace.span(
         "ilp.solve",
@@ -263,13 +367,7 @@ def solve_partition_ilp(
         budgeted=quality_budget is not None,
     ) as sp:
         with _silenced_stdout():
-            res = milp(
-                c,
-                constraints=constraint,
-                integrality=integrality,
-                bounds=bounds,
-                options={"time_limit": time_limit_s, "mip_rel_gap": 1e-4},
-            )
+            res = milp(model, time_limit_s, mip_rel_gap=1e-4)
         sp.set(status=int(res.status), feasible=res.x is not None)
     solve_time = time.perf_counter() - t0
     if trace.enabled:
@@ -331,9 +429,7 @@ def solve_partition_lp_relaxation(
     be computed (e.g. the LP hit the time limit) — callers must not
     prune on ``None``.
     """
-    c, constraint, integrality, bounds = _build_milp(
-        problem, theta, quality_budget, latency_objective=True
-    )
+    model = _build_milp(problem, theta, quality_budget, latency_objective=True)
     with trace.span(
         "ilp.lp_relaxation",
         groups=problem.n_groups,
@@ -342,11 +438,8 @@ def solve_partition_lp_relaxation(
     ) as sp:
         with _silenced_stdout():
             res = milp(
-                c,
-                constraints=constraint,
-                integrality=np.zeros_like(integrality),
-                bounds=bounds,
-                options={"time_limit": time_limit_s},
+                model._replace(integrality=np.zeros_like(model.integrality)),
+                time_limit_s,
             )
         sp.set(status=int(res.status))
     if trace.enabled:

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..workloads.spec import BatchWorkload
+from ..workloads.spec import BatchWorkload, check_positive
 
 __all__ = ["DEADLINE_HOURS", "FleetJob", "make_job_queue"]
 
@@ -57,8 +57,7 @@ class FleetJob:
             raise ValueError("job_id must be non-empty")
         if not self.model:
             raise ValueError("model must be non-empty")
-        if self.num_batches <= 0:
-            raise ValueError("num_batches must be positive")
+        check_positive(num_batches=self.num_batches)
         if self.deadline_class not in DEADLINE_HOURS:
             raise ValueError(
                 f"unknown deadline class {self.deadline_class!r} "

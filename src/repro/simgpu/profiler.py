@@ -149,18 +149,23 @@ class Profiler:
                     LatencySample(p, b, v, s, t)
                     for p, b, v, s, t in hit["samples"]
                 ]
-        draws_before = self._draws
+        # One batched draw, row by row in the stream order of one
+        # measure_layer call per point; the median of 3 is exact.
+        points = [(v, s) for v in batches for s in seqs]
+        noise = self._rng.lognormal(
+            mean=0.0, sigma=LATENCY_NOISE_SIGMA, size=(len(points), 3)
+        )
+        self._draws += noise.size
         samples: List[LatencySample] = []
-        for v in batches:
-            for s in seqs:
-                t = self.measure_layer(gpu, spec, bits, phase, v, s, bit_kv)
-                samples.append(LatencySample(phase, bits, v, s, t))
+        for (v, s), m in zip(points, np.median(noise, axis=1)):
+            t = layer_time(gpu, spec, bits, phase, v, s, bit_kv)
+            samples.append(LatencySample(phase, bits, v, s, float(t * m)))
         if cache is not None:
             cache.put(
                 "profiler_grid",
                 key,
                 {
-                    "draws": self._draws - draws_before,
+                    "draws": noise.size,
                     "samples": [
                         [s.phase, s.bits, s.batch, s.seq, s.time_s]
                         for s in samples

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
+
+
+def check_positive(**values: float) -> None:
+    """Raise ``ValueError`` naming the first argument that is not finite
+    and positive.  A bare ``x <= 0`` lets NaN through, and a NaN rate or
+    horizon never ends the trace generators' drawing loops."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,17 +34,16 @@ class BatchWorkload:
     reserve_output_len: int | None = None
 
     def __post_init__(self):
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
-        if self.prompt_len <= 0 or self.output_len <= 0:
-            raise ValueError("prompt_len and output_len must be positive")
-        if self.chunk_tokens <= 0:
-            raise ValueError("chunk_tokens must be positive")
-        if (
-            self.reserve_output_len is not None
-            and self.reserve_output_len < self.output_len
-        ):
-            raise ValueError("reserve_output_len must cover output_len")
+        check_positive(
+            batch=self.batch,
+            prompt_len=self.prompt_len,
+            output_len=self.output_len,
+            chunk_tokens=self.chunk_tokens,
+        )
+        if self.reserve_output_len is not None:
+            check_positive(reserve_output_len=self.reserve_output_len)
+            if self.reserve_output_len < self.output_len:
+                raise ValueError("reserve_output_len must cover output_len")
 
     @property
     def kappa(self) -> int:

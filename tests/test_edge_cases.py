@@ -267,6 +267,39 @@ def test_job_arrivals_reject_non_finite(field, value):
             make_job_arrivals(n_jobs=2, mean_interarrival_s=value)
 
 
+_WORKLOAD_ARGS = {"batch": 64, "prompt_len": 512, "output_len": 128,
+                  "chunk_tokens": 2048, "reserve_output_len": 256}
+
+
+@pytest.mark.parametrize("field", sorted(_WORKLOAD_ARGS))
+@pytest.mark.parametrize("value", [NAN, INF, -INF, 0, -1])
+def test_batch_workload_rejects_non_finite(field, value):
+    """NaN passes ``x <= 0``: a NaN prompt or output length used to plan
+    to a silent ``None`` with only a numpy warning."""
+    with pytest.raises(ValueError, match=field):
+        BatchWorkload(**{**_WORKLOAD_ARGS, field: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF, 0, -1])
+def test_fleet_job_rejects_non_finite_batches(value):
+    from repro.fleet import FleetJob
+
+    with pytest.raises(ValueError, match="num_batches"):
+        FleetJob("j", "opt-13b", BatchWorkload(8, 256, 32), num_batches=value)
+
+
+def test_workload_and_job_accept_finite_values():
+    from repro.fleet import FleetJob
+
+    wl = BatchWorkload(1, 1, 1, chunk_tokens=1, reserve_output_len=1)
+    assert wl.context_len == 2
+    assert BatchWorkload(64, 512.0, 128).prompt_len == 512.0
+    assert BatchWorkload(8, 256, 32, reserve_output_len=None).context_len == 288
+    assert FleetJob("j", "opt-13b", wl, num_batches=1).total_output_tokens == 1
+    with pytest.raises(ValueError, match="cover output_len"):
+        BatchWorkload(8, 256, 32, reserve_output_len=16)
+
+
 def _removed_keyword_calls():
     from repro.core import PlannerConfig
     from repro.fleet import (

@@ -2,9 +2,9 @@
 
 ``_lil_build_milp`` below is the element-by-element ``lil_matrix``
 assembly the cached-pattern builder replaced, kept here as the oracle.
-Both models go through scipy's own input validation (``_milp_iv``, what
-``scipy.optimize.milp`` passes to HiGHS) and every array must match
-bit for bit, dtypes included.
+The oracle goes through scipy's own input validation (``_milp_iv``, what
+``scipy.optimize.milp`` passes to HiGHS), and every array of the
+builder's raw model must match it bit for bit, dtypes included.
 """
 
 import os
@@ -19,20 +19,14 @@ from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize._milp import _milp_iv
 from scipy.sparse import lil_matrix
 
-from repro.core import StageGroup, build_problem
 from repro.core.ilp import (
     _build_milp,
+    _Model,
     _sparsity_pattern,
     solve_partition_ilp,
     solve_partition_lp_relaxation,
 )
-from repro.costmodel.latency import LatencyCostModel
-from repro.hardware import make_cluster
-from repro.quant import normalized_indicator_table
-from repro.simgpu import Profiler
-from repro.workloads import BatchWorkload
-
-BITS = (3, 4, 8, 16)
+from tests.ilp_utils import SHAPES, make_problem
 
 
 def _zidx(problem, g, j, k):
@@ -153,94 +147,50 @@ def _lil_build_milp(problem, theta, quality_budget, latency_objective=True):
     return c, constraints, integrality, Bounds(lb, ub_v)
 
 
-@pytest.fixture(scope="module")
-def four_stage_cluster():
-    return make_cluster(
-        "asm-4dev", [("T4-16G", 2), ("V100-32G", 1), ("A100-40G", 1)]
+def _lil_model(problem, theta, quality_budget, latency_objective=True):
+    """The oracle's model as ``scipy.optimize.milp`` hands it to HiGHS."""
+    c, constraints, integrality, bounds = _lil_build_milp(
+        problem, theta, quality_budget, latency_objective
     )
+    c, integrality, lb, ub, indptr, indices, data, b_l, b_u, _ = _milp_iv(
+        c, integrality, bounds, constraints, None
+    )
+    return _Model(c, indptr, indices, data, b_l, b_u, lb, ub, integrality)
 
 
-@pytest.fixture(scope="module")
-def cost_models(opt13b, opt30b, four_stage_cluster):
-    gpus = {d.gpu.name: d.gpu for d in four_stage_cluster.devices}
-    out = {}
-    for spec in (opt13b, opt30b):
-        cm = LatencyCostModel(spec)
-        cm.fit(list(gpus.values()), BITS, Profiler(seed=11))
-        out[spec.name] = cm
-    return out
-
-
-@pytest.fixture(scope="module")
-def make_problem(four_stage_cluster, cost_models, opt13b, opt30b):
-    specs = {"opt-13b": opt13b, "opt-30b": opt30b}
-
-    def make(model="opt-13b", stages=2, group_size=8, output_len=32,
-             batch=8, eta=4, xi=4):
-        spec = specs[model]
-        ordering = tuple(
-            StageGroup(device_ids=(d.device_id,), gpu=d.gpu)
-            for d in four_stage_cluster.devices[:stages]
-        )
-        wl = BatchWorkload(batch=batch, prompt_len=256, output_len=output_len)
-        omega = normalized_indicator_table(spec, BITS)
-        return build_problem(
-            spec, four_stage_cluster, ordering, wl, cost_models[spec.name],
-            omega, eta=eta, xi=xi, bit_choices=BITS, group_size=group_size,
-        )
-
-    return make
-
-
-SHAPES = {
-    "base": {},
-    "one-stage": {"stages": 1},
-    "one-group": {"group_size": 40},
-    "one-group-one-stage": {"stages": 1, "group_size": 40},
-    "output-len-1": {"output_len": 1},
-    "four-stages": {"stages": 4, "group_size": 5},
-    # OPT-30B in groups of 3 over four stages: the Table-VI model size.
-    "table-vi": {"model": "opt-30b", "stages": 4, "group_size": 3,
-                 "batch": 64, "eta": 8, "xi": 16, "output_len": 128},
-}
-
-
-def _highs_inputs(c, constraints, integrality, bounds):
-    return _milp_iv(c, integrality, bounds, constraints, None)[:-1]
+def _assert_same_model(got, ref):
+    assert isinstance(got, _Model)
+    for name, g, r in zip(_Model._fields, got, ref):
+        assert isinstance(g, np.ndarray), name
+        assert g.dtype == r.dtype, name
+        assert g.shape == r.shape, name
+        assert g.tobytes() == r.tobytes(), name
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("latency_objective", [True, False])
 @pytest.mark.parametrize("budgeted", [False, True])
-def test_highs_inputs_identical(make_problem, shape, latency_objective,
-                                budgeted):
+def test_highs_inputs_identical(shape, latency_objective, budgeted):
     problem = make_problem(**SHAPES[shape])
     budget = 0.5 * float(problem.omega[:, 0].sum()) if budgeted else None
     theta = 10.0 if latency_objective else 1.0
-    ref = _lil_build_milp(problem, theta, budget, latency_objective)
-    got = _build_milp(problem, theta, budget, latency_objective)
-    names = ("c", "integrality", "lb", "ub", "indptr", "indices", "data",
-             "b_l", "b_u")
-    for name, r, g in zip(names, _highs_inputs(*ref), _highs_inputs(*got)):
-        assert g.dtype == r.dtype, name
-        assert g.shape == r.shape, name
-        assert g.tobytes() == r.tobytes(), name
-    # The constraint the builder returns is one CSC matrix.
-    assert isinstance(got[1], LinearConstraint)
-    assert got[1].A.format == "csc"
+    _assert_same_model(
+        _build_milp(problem, theta, budget, latency_objective),
+        _lil_model(problem, theta, budget, latency_objective),
+    )
 
 
-def test_output_len_one_drops_zero_span_coefficients(make_problem):
+def test_output_len_one_drops_zero_span_coefficients():
     problem = make_problem(output_len=1)
-    _, constraint, _, _ = _build_milp(problem, 10.0, None)
-    assert np.all(constraint.A.data != 0)
+    model = _build_milp(problem, 10.0, None)
+    assert np.all(model.data != 0)
     pattern = _sparsity_pattern(
         problem.n_groups, problem.n_stages, problem.n_bits, True, False
     )
-    assert constraint.A.nnz < pattern.indices.size
+    assert model.data.size < pattern.indices.size
 
 
-def test_pattern_is_cached_and_read_only(make_problem):
+def test_pattern_is_cached_and_read_only():
     problem = make_problem()
     key = (problem.n_groups, problem.n_stages, problem.n_bits, True, True)
     pattern = _sparsity_pattern(*key)
@@ -253,8 +203,7 @@ def test_pattern_is_cached_and_read_only(make_problem):
 
 @pytest.mark.parametrize("shape", ["base", "four-stages", "output-len-1"])
 @pytest.mark.parametrize("budgeted", [False, True])
-def test_solves_identical_to_oracle_model(make_problem, monkeypatch, shape,
-                                          budgeted):
+def test_solves_identical_to_oracle_model(monkeypatch, shape, budgeted):
     from repro.core import ilp
 
     problem = make_problem(**SHAPES[shape])
@@ -264,7 +213,7 @@ def test_solves_identical_to_oracle_model(make_problem, monkeypatch, shape,
         solve_partition_ilp(problem, 1.0, budget, latency_objective=False),
         solve_partition_lp_relaxation(problem, 10.0, budget),
     )
-    monkeypatch.setattr(ilp, "_build_milp", _lil_build_milp)
+    monkeypatch.setattr(ilp, "_build_milp", _lil_model)
     old = (
         solve_partition_ilp(problem, 10.0, budget, latency_objective=True),
         solve_partition_ilp(problem, 1.0, budget, latency_objective=False),
@@ -278,12 +227,12 @@ def test_solves_identical_to_oracle_model(make_problem, monkeypatch, shape,
     assert new[2] == old[2]
 
 
-def test_pattern_cache_shared_across_threads(make_problem):
+def test_pattern_cache_shared_across_threads():
     """Solves with ``parallelism > 1`` build models concurrently from one
     cache; a cold cache filled by racing threads must give every thread
     the serial model."""
     problems = [make_problem(**SHAPES[s]) for s in ("base", "four-stages")]
-    expected = [_highs_inputs(*_build_milp(p, 10.0, None)) for p in problems]
+    expected = [_build_milp(p, 10.0, None) for p in problems]
     workers = min((os.cpu_count() or 1) + 2, 16)
     _sparsity_pattern.cache_clear()
     interval = sys.getswitchinterval()
@@ -291,7 +240,7 @@ def test_pattern_cache_shared_across_threads(make_problem):
     try:
         with ThreadPoolExecutor(workers) as pool:
             futures = [
-                pool.submit(lambda p=p: _highs_inputs(*_build_milp(p, 10.0, None)))
+                pool.submit(_build_milp, p, 10.0, None)
                 for _ in range(workers)
                 for p in problems
             ]
@@ -299,5 +248,4 @@ def test_pattern_cache_shared_across_threads(make_problem):
     finally:
         sys.setswitchinterval(interval)
     for i, got in enumerate(results):
-        for r, g in zip(expected[i % len(problems)], got):
-            assert g.tobytes() == r.tobytes()
+        _assert_same_model(got, expected[i % len(problems)])
